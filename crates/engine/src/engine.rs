@@ -253,11 +253,6 @@ impl ResponseSlot {
             guard = cv.wait(guard).unwrap();
         }
     }
-
-    /// Non-blocking poll; consumes the response if present.
-    pub fn try_take(&self) -> Option<EngineResponse> {
-        self.inner.0.lock().unwrap().take()
-    }
 }
 
 struct QueuedJob {
@@ -1262,9 +1257,16 @@ mod tests {
             })
             .collect();
         engine.shutdown();
-        for slot in slots {
-            assert!(slot.try_take().is_some(), "response missing after drain");
+        // Every slot is already filled, so none of these waits blocks; a
+        // missing response shows up as a timeout instead of a hang.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter =
+            std::thread::spawn(move || slots.into_iter().for_each(|s| tx.send(s.wait()).unwrap()));
+        for _ in 0..10 {
+            rx.recv_timeout(Duration::from_secs(10))
+                .expect("response missing after drain");
         }
+        waiter.join().unwrap();
         assert!(matches!(
             engine.submit(EngineRequest::new(tiny_instance(2))),
             Err(SubmitError::ShuttingDown)

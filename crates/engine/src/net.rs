@@ -2,7 +2,8 @@
 //!
 //! Std-only threading, no async runtime: one nonblocking acceptor thread
 //! plus one thread per connection, each running the same
-//! [`serve_lines`](crate::serve) loop as the stdin/file path. Every
+//! [`serve_lines`](mod@crate::serve) loop (reader here, scoped response
+//! writer beside it) as the stdin/file path. Every
 //! connection gets its own session scope — sessions opened over a
 //! connection are pinned to it (commands from another connection get an
 //! inline error) and are force-closed when the connection ends, however
@@ -17,12 +18,13 @@
 //! * **Bounded lines**: [`ServeOptions::max_line_len`] applies per
 //!   connection; over-limit lines are discarded without buffering and
 //!   answered inline (`ise_oversize_lines_total`).
-//! * **Idle timeout**: a connection that sends nothing for
+//! * **Idle timeout**: a connection that completes no line for
 //!   [`NetOptions::idle_timeout`] is told so and closed
-//!   (`ise_idle_timeouts_total`).
-//! * **Bounded write queues**: the per-stream `max_pending` head-of-line
-//!   discipline bounds buffered responses per connection; queue waits are
-//!   histogrammed as `ise_net_queue_wait_us`.
+//!   (`ise_idle_timeouts_total`). The socket's read deadline carries the
+//!   budget, so a blocked read wakes exactly when it runs out.
+//! * **Bounded write queues**: the per-stream `max_pending` FIFO bounds
+//!   buffered responses per connection; queue waits are histogrammed as
+//!   `ise_net_queue_wait_us`.
 //! * **Graceful drain**: a `{"cmd": "shutdown"}` line on any connection
 //!   (or [`NetServer::shutdown`]) stops the acceptor — the listener
 //!   closes, so late connects are refused by the OS — wakes every
@@ -40,7 +42,7 @@ use crate::serve::{
 };
 use ise_obs::{PhaseTimings, Trace};
 use std::collections::HashMap;
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -53,7 +55,7 @@ pub struct NetOptions {
     /// Concurrent-connection cap; connections beyond it are shed at
     /// accept time with an inline error.
     pub max_connections: usize,
-    /// Close a connection after this long without a complete read.
+    /// Close a connection after this long without a complete line.
     /// `None` disables the timeout.
     pub idle_timeout: Option<Duration>,
     /// Per-connection stream options (`max_pending`, `max_line_len`,
@@ -121,19 +123,34 @@ impl NetShared {
     }
 }
 
-/// Counts bytes off the wire into `NetMetrics::bytes_in`.
-struct CountingReader {
+/// Counts bytes off the wire into `NetMetrics::bytes_in` and enforces
+/// the idle timeout: each read may wait only for what is left of
+/// `idle_timeout` since the last newline seen, so idleness is measured to
+/// the last complete line and a client trickling bytes of an
+/// unterminated one is cut off too. An exhausted budget surfaces as the
+/// socket's read-timeout error.
+struct CountingReader<'a> {
     inner: TcpStream,
-    shared: Arc<NetShared>,
+    bytes_in: &'a AtomicU64,
+    idle_timeout: Option<Duration>,
+    last_newline: Instant,
 }
 
-impl Read for CountingReader {
+impl Read for CountingReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if let Some(idle) = self.idle_timeout {
+            // Past the deadline a read still takes bytes already queued:
+            // lines that arrived while the serve loop was blocked (on a
+            // full response queue, say) are not the client's idleness.
+            let left = idle.saturating_sub(self.last_newline.elapsed());
+            self.inner
+                .set_read_timeout(Some(left.max(Duration::from_micros(1))))?;
+        }
         let n = self.inner.read(buf)?;
-        self.shared
-            .net
-            .bytes_in
-            .fetch_add(n as u64, Ordering::Relaxed);
+        if buf[..n].contains(&b'\n') {
+            self.last_newline = Instant::now();
+        }
+        self.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
         Ok(n)
     }
 }
@@ -277,7 +294,7 @@ fn accept_loop(listener: TcpListener, shared: &Arc<NetShared>) {
         }
         match listener.accept() {
             Ok((stream, _)) => handle_accept(stream, shared),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
@@ -373,16 +390,11 @@ fn handle_accept(mut stream: TcpStream, shared: &Arc<NetShared>) {
     shared.handles.lock().expect("handles lock").push(handle);
 }
 
-/// Socket read timeout driving the serve loop's poll ticks: each
-/// `WouldBlock` wakeup drains resolved responses to the peer and checks
-/// the idle budget. Short enough that response latency while the peer is
-/// quiet stays negligible; long enough that an idle connection costs
-/// ~40 wakeups/s.
-const POLL_TICK: Duration = Duration::from_millis(25);
-
 fn serve_connection(reader: TcpStream, writer: TcpStream, conn_id: u64, shared: &Arc<NetShared>) {
     let _ = writer.set_nodelay(true);
-    let _ = reader.set_read_timeout(Some(POLL_TICK));
+    // Some platforms hand out accepted sockets in the listener's
+    // nonblocking mode; reads must block, up to the idle deadline.
+    let _ = reader.set_nonblocking(false);
     let scope = shared.engine.new_scope();
     let trace = Trace::new(1 << 12);
     {
@@ -390,17 +402,17 @@ fn serve_connection(reader: TcpStream, writer: TcpStream, conn_id: u64, shared: 
         let _conn_span = ise_obs::Span::enter("net.conn");
         let mut reader = BufReader::new(CountingReader {
             inner: reader,
-            shared: Arc::clone(shared),
+            bytes_in: &shared.net.bytes_in,
+            idle_timeout: shared.opts.idle_timeout,
+            last_newline: Instant::now(),
         });
         let mut writer = CountingWriter {
             inner: writer,
             shared: Arc::clone(shared),
         };
-        let mut responses = 0u64;
         let ctx = StreamScope {
             scope,
             net: Some(&shared.net),
-            idle_timeout: shared.opts.idle_timeout,
         };
         let result = serve_lines(
             &shared.engine,
@@ -408,11 +420,10 @@ fn serve_connection(reader: TcpStream, writer: TcpStream, conn_id: u64, shared: 
             &mut writer,
             &shared.opts.serve,
             &ctx,
-            &mut responses,
         );
-        match &result {
-            Ok(LoopExit::Shutdown) => shared.begin_drain(),
-            Ok(LoopExit::IdleTimeout) => {
+        match result {
+            Ok((LoopExit::Shutdown, _)) => shared.begin_drain(),
+            Ok((LoopExit::IdleTimeout, _)) => {
                 NetMetrics::inc_counter(&shared.net.idle_timeouts);
                 write_notice(
                     &mut writer,
@@ -425,7 +436,7 @@ fn serve_connection(reader: TcpStream, writer: TcpStream, conn_id: u64, shared: 
             // EOF is a normal close; an I/O error is an abrupt peer
             // disconnect — either way the cleanup below reaps the
             // connection's sessions.
-            Ok(LoopExit::Eof) | Err(_) => {}
+            Ok((LoopExit::Eof, _)) | Err(_) => {}
         }
     }
     shared.engine.close_scope(scope);
@@ -460,6 +471,33 @@ mod tests {
         .unwrap();
         assert_ne!(server.local_addr().port(), 0);
         // Drop runs the drain path with zero connections.
+    }
+
+    #[test]
+    fn a_read_past_the_idle_deadline_still_takes_queued_bytes() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let bytes_in = AtomicU64::new(0);
+        let mut reader = CountingReader {
+            inner: listener.accept().unwrap().0,
+            bytes_in: &bytes_in,
+            idle_timeout: Some(Duration::from_millis(400)),
+            last_newline: Instant::now(),
+        };
+        client.write_all(b"{\"id\"").unwrap();
+        std::thread::sleep(Duration::from_millis(500));
+        // The budget ran out while the bytes sat queued: they are still
+        // read, but nothing more is waited for.
+        let mut buf = [0u8; 16];
+        assert_eq!(reader.read(&mut buf).unwrap(), 5);
+        let started = Instant::now();
+        let err = reader.read(&mut buf).unwrap_err();
+        assert!(
+            matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "{err}"
+        );
+        assert!(started.elapsed() < Duration::from_millis(200));
+        assert_eq!(bytes_in.load(Ordering::Relaxed), 5);
     }
 
     #[test]

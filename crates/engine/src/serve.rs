@@ -1,8 +1,8 @@
 //! JSONL batch serving: one request per input line, one response per
 //! output line, in input order, **streamed** — each response is written
 //! (and flushed) as soon as it and everything before it has resolved,
-//! so a consumer tailing the output sees results while the input is
-//! still being produced.
+//! so a consumer sees each result while the input is still open, without
+//! having to send anything more.
 //!
 //! Request lines are [`EngineRequest`] JSON objects; the only required
 //! field is `instance`. Malformed lines produce an `"error"` response
@@ -42,19 +42,23 @@
 //! cannot collide with any valid explicit id — mixing explicit and
 //! implicit ids in one stream is safe.
 //!
-//! # Backpressure
+//! # Reader, FIFO, writer
 //!
-//! At most [`ServeOptions::max_pending`] responses are buffered awaiting
-//! an earlier (head-of-line) response; beyond that the reader blocks on
-//! the head rather than buffering the whole input.
+//! Each stream runs on two threads. The caller's thread reads, parses and
+//! submits lines, pushing each pending response into a FIFO of at most
+//! [`ServeOptions::max_pending`] entries; a scoped writer thread waits on
+//! the FIFO's entries in order and writes and flushes each. A full FIFO
+//! blocks the reader, so a consumer that stops reading stops its stream's
+//! input instead of growing a buffer. However reading stops, the FIFO is
+//! closed and the writer joined, so every accepted request is answered.
 
 use crate::engine::{
     status, Engine, EngineConfig, EngineRequest, EngineResponse, ResponseSlot, GLOBAL_SCOPE,
 };
 use crate::metrics::{prometheus_text, MetricsSnapshot, NetMetrics};
-use std::collections::VecDeque;
 use std::io::{BufRead, ErrorKind, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::{Duration, Instant};
 
 /// First id the server assigns to requests that omit `id`. Explicit ids
@@ -72,34 +76,17 @@ enum Pending {
 }
 
 impl Pending {
-    /// Non-blocking poll.
-    fn poll(&mut self) -> Option<EngineResponse> {
-        match self {
-            Pending::InFlight(slot) => slot.try_take(),
-            Pending::Immediate(_) => match std::mem::replace(self, Pending::taken()) {
-                Pending::Immediate(r) => Some(*r),
-                Pending::InFlight(_) => unreachable!("matched Immediate"),
-            },
-        }
-    }
-
-    /// Blocking resolve.
+    /// Block until the response is ready.
     fn wait(self) -> EngineResponse {
         match self {
             Pending::InFlight(slot) => slot.wait(),
             Pending::Immediate(r) => *r,
         }
     }
-
-    /// Placeholder left behind by [`Pending::poll`] on an `Immediate`
-    /// entry; the caller pops the entry immediately after.
-    fn taken() -> Pending {
-        Pending::Immediate(Box::new(immediate_response(0, "taken".to_string())))
-    }
 }
 
-/// A pending response plus the instant it entered the write queue, so the
-/// network frontend can histogram head-of-line wait.
+/// A pending response plus the instant it entered the FIFO, so the
+/// network frontend can histogram how long it waited to be written.
 struct Entry {
     pending: Pending,
     queued: Instant,
@@ -117,8 +104,8 @@ impl Entry {
 /// How [`serve_with`] streams and reports.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
-    /// Maximum responses buffered while waiting for an earlier one;
-    /// reading blocks on the head-of-line response beyond this.
+    /// Maximum responses queued behind the one being written; reading
+    /// blocks while the queue is full.
     pub max_pending: usize,
     /// Maximum accepted request-line length in bytes. Longer lines are
     /// discarded (never buffered) and answered with an inline error.
@@ -184,112 +171,73 @@ pub(crate) enum LineRead {
     Eof,
 }
 
-/// Incremental bounded line assembly. Partial-line state survives
-/// `WouldBlock`/`TimedOut` errors from the underlying reader, so a
-/// socket with a short read timeout can be *polled* for the next line —
-/// that is how the TCP frontend streams responses out while the peer is
-/// quiet — without ever losing bytes already pulled off the wire.
-pub(crate) struct LineReader {
-    buf: Vec<u8>,
-    overlong: bool,
-}
-
-impl LineReader {
-    pub(crate) fn new() -> LineReader {
-        LineReader {
-            buf: Vec::new(),
-            overlong: false,
-        }
-    }
-
-    /// Read one newline-terminated line from `input`, buffering at most
-    /// `max_len` bytes. An over-limit line is *consumed* (streamed past
-    /// in buffer-sized chunks, never accumulated) and reported as
-    /// [`LineRead::TooLong`], so the reader stays line-synchronized with
-    /// the peer. Invalid UTF-8 is replaced rather than treated as an I/O
-    /// error — a garbage line should produce one inline parse error, not
-    /// kill the stream.
-    pub(crate) fn poll_line<R: BufRead>(
-        &mut self,
-        input: &mut R,
-        max_len: usize,
-    ) -> std::io::Result<LineRead> {
-        loop {
-            let available = match input.fill_buf() {
-                Ok(a) => a,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                // Partial-line state stays in `self` for the next poll.
-                Err(e) => return Err(e),
-            };
-            if available.is_empty() {
-                // EOF. A partial unterminated line still counts as a line
-                // (matching `BufRead::lines`); an overlong one is
-                // reported.
-                let overlong = std::mem::replace(&mut self.overlong, false);
-                let buf = std::mem::take(&mut self.buf);
-                return Ok(if overlong {
-                    LineRead::TooLong
-                } else if buf.is_empty() {
-                    LineRead::Eof
-                } else {
-                    finish_line(buf)
-                });
-            }
-            match available.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    // A trailing `\r` is protocol framing, not payload:
-                    // it is stripped below, so it does not count against
-                    // the limit.
-                    let ends_cr = if pos > 0 {
-                        available[pos - 1] == b'\r'
-                    } else {
-                        self.buf.last() == Some(&b'\r')
-                    };
-                    let content_len = self.buf.len() + pos - usize::from(ends_cr);
-                    if !self.overlong && content_len > max_len {
-                        self.overlong = true;
-                        self.buf.clear();
-                    }
-                    let overlong = std::mem::replace(&mut self.overlong, false);
-                    let mut buf = std::mem::take(&mut self.buf);
-                    if !overlong {
-                        buf.extend_from_slice(&available[..pos]);
-                    }
-                    input.consume(pos + 1);
-                    return Ok(if overlong {
-                        LineRead::TooLong
-                    } else {
-                        finish_line(buf)
-                    });
-                }
-                None => {
-                    let len = available.len();
-                    if !self.overlong {
-                        // `+ 1` leaves room for a `\r` that may precede a
-                        // newline in the next chunk; the exact check
-                        // happens at the newline. Memory stays bounded by
-                        // max + 1.
-                        if self.buf.len() + len > max_len + 1 {
-                            self.overlong = true;
-                            self.buf.clear();
-                        } else {
-                            self.buf.extend_from_slice(available);
-                        }
-                    }
-                    input.consume(len);
-                }
-            }
-        }
-    }
-}
-
-/// One-shot [`LineReader::poll_line`] for inputs without read timeouts.
-#[cfg(test)]
+/// Read one newline-terminated line from `input`, buffering at most
+/// `max_len` bytes. An over-limit line is *consumed* (streamed past in
+/// buffer-sized chunks, never accumulated) and reported as
+/// [`LineRead::TooLong`], so the reader stays line-synchronized with the
+/// peer. Invalid UTF-8 is replaced rather than treated as an I/O error —
+/// a garbage line should produce one inline parse error, not kill the
+/// stream. A read error drops the partial line; it ends the stream anyway.
 pub(crate) fn read_bounded_line<R: BufRead>(
     input: &mut R,
     max_len: usize,
 ) -> std::io::Result<LineRead> {
-    LineReader::new().poll_line(input, max_len)
+    let mut buf = Vec::new();
+    let mut overlong = false;
+    loop {
+        let available = match input.fill_buf() {
+            Ok(a) => a,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            // EOF. A partial unterminated line still counts as a line
+            // (matching `BufRead::lines`); an overlong one is reported.
+            return Ok(if overlong {
+                LineRead::TooLong
+            } else if buf.is_empty() {
+                LineRead::Eof
+            } else {
+                finish_line(buf)
+            });
+        }
+        match available.iter().position(|&b| b == b'\n') {
+            Some(pos) => {
+                // A trailing `\r` is protocol framing, not payload: it is
+                // stripped below, so it does not count against the limit.
+                let ends_cr = if pos > 0 {
+                    available[pos - 1] == b'\r'
+                } else {
+                    buf.last() == Some(&b'\r')
+                };
+                let overlong = overlong || buf.len() + pos - usize::from(ends_cr) > max_len;
+                if !overlong {
+                    buf.extend_from_slice(&available[..pos]);
+                }
+                input.consume(pos + 1);
+                return Ok(if overlong {
+                    LineRead::TooLong
+                } else {
+                    finish_line(buf)
+                });
+            }
+            None => {
+                let len = available.len();
+                if !overlong {
+                    // `+ 1` leaves room for a `\r` that may precede a
+                    // newline in the next chunk; the exact check happens
+                    // at the newline. Memory stays bounded by max + 1.
+                    if buf.len() + len > max_len + 1 {
+                        overlong = true;
+                        buf.clear();
+                    } else {
+                        buf.extend_from_slice(available);
+                    }
+                }
+                input.consume(len);
+            }
+        }
+    }
 }
 
 fn finish_line(mut buf: Vec<u8>) -> LineRead {
@@ -299,88 +247,20 @@ fn finish_line(mut buf: Vec<u8>) -> LineRead {
     LineRead::Line(String::from_utf8_lossy(&buf).into_owned())
 }
 
-/// Serialize one response, record the serialization latency, write and
-/// flush it.
-fn write_response<W: Write>(
-    engine: &Engine,
-    output: &mut W,
-    response: &EngineResponse,
-    responses: &mut u64,
-) -> std::io::Result<()> {
-    let started = Instant::now();
-    let json = serde_json::to_string(response).expect("response serialization is infallible");
-    engine.record_serialize_time(started.elapsed());
-    writeln!(output, "{json}")?;
-    output.flush()?;
-    *responses += 1;
-    Ok(())
-}
-
-/// Write one resolved entry: record its write-queue wait (network runs
-/// only), then serialize and flush.
-fn write_entry<W: Write>(
-    engine: &Engine,
-    output: &mut W,
-    response: &EngineResponse,
-    queued: Instant,
-    responses: &mut u64,
-    net: Option<&NetMetrics>,
-) -> std::io::Result<()> {
-    let _span = ise_obs::Span::enter("net.write");
-    if let Some(net) = net {
-        net.write_queue_wait.record(queued.elapsed());
-        NetMetrics::inc_counter(&net.responses_total);
-    }
-    write_response(engine, output, response, responses)
-}
-
-/// Pop and write every already-resolved response at the head of the
-/// queue. Responses behind an unresolved head stay queued to preserve
-/// input order.
-fn drain_ready<W: Write>(
-    engine: &Engine,
-    pending: &mut VecDeque<Entry>,
-    output: &mut W,
-    responses: &mut u64,
-    net: Option<&NetMetrics>,
-) -> std::io::Result<()> {
-    while let Some(head) = pending.front_mut() {
-        match head.pending.poll() {
-            Some(response) => {
-                let queued = head.queued;
-                pending.pop_front();
-                write_entry(engine, output, &response, queued, responses, net)?;
-            }
-            None => break,
-        }
-    }
-    Ok(())
-}
-
-/// Blocking drain: resolve and write everything left, in order.
-fn drain_all<W: Write>(
-    engine: &Engine,
-    pending: &mut VecDeque<Entry>,
-    output: &mut W,
-    responses: &mut u64,
-    net: Option<&NetMetrics>,
-) -> std::io::Result<()> {
-    while let Some(entry) = pending.pop_front() {
-        let response = entry.pending.wait();
-        write_entry(engine, output, &response, entry.queued, responses, net)?;
-    }
-    Ok(())
-}
-
-fn write_metrics_file(engine: &Engine, path: &std::path::Path) -> std::io::Result<()> {
-    let text = prometheus_text(&engine.metrics());
-    std::fs::write(path, text)
+fn write_metrics_file(engine: &Engine, path: &Path) -> std::io::Result<()> {
+    std::fs::write(path, prometheus_text(&engine.metrics())).map_err(|e| {
+        std::io::Error::new(
+            e.kind(),
+            format!("writing metrics to {}: {e}", path.display()),
+        )
+    })
 }
 
 /// Why [`serve_lines`] stopped reading.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum LoopExit {
-    /// Input ended (EOF or peer disconnect).
+    /// Input ended (EOF or peer disconnect), or the writer stopped on an
+    /// output error (which [`serve_lines`] then returns).
     Eof,
     /// A `{"cmd": "shutdown"}` admin line was processed.
     Shutdown,
@@ -390,18 +270,13 @@ pub(crate) enum LoopExit {
 }
 
 /// Which stream this loop serves: its session scope and, for network
-/// connections, the shared net metrics and idle budget.
+/// connections, the shared net metrics.
 pub(crate) struct StreamScope<'a> {
     /// Session scope commands on this stream run under
     /// ([`GLOBAL_SCOPE`] for stdin/file serving).
     pub scope: u64,
     /// Network counters, when this stream is a TCP connection.
     pub net: Option<&'a NetMetrics>,
-    /// Give up on the stream when this long passes without a *complete*
-    /// line (so a byte-trickling slow-loris cannot hold the connection
-    /// open either). Requires the input to have a short read timeout,
-    /// whose `WouldBlock` wakeups double as response-drain ticks.
-    pub idle_timeout: Option<Duration>,
 }
 
 impl StreamScope<'_> {
@@ -409,14 +284,13 @@ impl StreamScope<'_> {
         StreamScope {
             scope: GLOBAL_SCOPE,
             net: None,
-            idle_timeout: None,
         }
     }
 }
 
 enum ParsedLine {
     Entry(Pending),
-    /// The shutdown acknowledgment; the caller drains and stops reading.
+    /// The shutdown acknowledgment; the caller queues it and stops reading.
     Shutdown(Pending),
 }
 
@@ -486,92 +360,60 @@ fn parse_line(engine: &Engine, scope: u64, line: &str, lineno: usize) -> ParsedL
     ParsedLine::Entry(entry)
 }
 
-/// The serve loop shared by the stdin/file path and every TCP connection:
-/// read bounded lines, dispatch them against `engine`, and stream ordered
-/// responses to `output` under the `max_pending` head-of-line discipline.
-/// Returns why reading stopped; all pending work is drained and flushed
-/// before returning (including on a returned I/O error's best-effort
-/// path — a dead writer ends the drain early).
-pub(crate) fn serve_lines<R: BufRead, W: Write>(
+/// The reader half of [`serve_lines`]: read bounded lines, dispatch them
+/// against `engine`, and queue each pending response for the writer.
+/// Returns why reading stopped; `queue` closes when it returns.
+fn read_requests<R: BufRead>(
     engine: &Engine,
     input: &mut R,
-    output: &mut W,
+    queue: SyncSender<Entry>,
     opts: &ServeOptions,
     ctx: &StreamScope<'_>,
-    responses: &mut u64,
 ) -> std::io::Result<LoopExit> {
-    let max_pending = opts.max_pending.max(1);
-    let mut pending: VecDeque<Entry> = VecDeque::new();
-    let mut line_reader = LineReader::new();
     let mut last_metrics = Instant::now();
-    let mut last_line = Instant::now();
     let mut lineno = 0usize;
-    let exit = loop {
+    loop {
         let line = {
             let _span = ise_obs::Span::enter("net.read");
-            line_reader.poll_line(input, opts.max_line_len)
+            read_bounded_line(input, opts.max_line_len)
         };
-        let parsed = match line {
+        let this_line = lineno;
+        lineno += 1;
+        let pending = match line {
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // A read-timeout tick, not (yet) an idle disconnect: flush
-                // whatever resolved while the peer was quiet, then either
-                // give up on a genuinely idle stream or poll again.
-                drain_ready(engine, &mut pending, output, responses, ctx.net)?;
-                match ctx.idle_timeout {
-                    Some(idle) if last_line.elapsed() >= idle => break LoopExit::IdleTimeout,
-                    _ => continue,
-                }
+                return Ok(LoopExit::IdleTimeout)
             }
-            Err(e) => {
-                // Flush whatever already resolved before surfacing the
-                // error; ignore secondary failures on the way down.
-                let _ = drain_all(engine, &mut pending, output, responses, ctx.net);
-                return Err(e);
-            }
-            Ok(LineRead::Eof) => break LoopExit::Eof,
+            Err(e) => return Err(e),
+            Ok(LineRead::Eof) => return Ok(LoopExit::Eof),
             Ok(LineRead::TooLong) => {
-                last_line = Instant::now();
                 if let Some(net) = ctx.net {
                     NetMetrics::inc_counter(&net.oversize_lines);
                 }
-                let entry = immediate_error(
-                    FALLBACK_ID_BASE + lineno as u64,
+                immediate_error(
+                    FALLBACK_ID_BASE + this_line as u64,
                     format!(
                         "line {}: exceeds the maximum line length ({} bytes)",
-                        lineno + 1,
+                        this_line + 1,
                         opts.max_line_len
                     ),
-                );
-                lineno += 1;
-                ParsedLine::Entry(entry)
+                )
             }
             Ok(LineRead::Line(text)) => {
-                last_line = Instant::now();
-                let this_line = lineno;
-                lineno += 1;
                 if text.trim().is_empty() {
                     continue;
                 }
-                parse_line(engine, ctx.scope, &text, this_line)
-            }
-        };
-        match parsed {
-            ParsedLine::Shutdown(ack) => {
-                pending.push_back(Entry::new(ack));
-                break LoopExit::Shutdown;
-            }
-            ParsedLine::Entry(entry) => {
-                pending.push_back(Entry::new(entry));
-                drain_ready(engine, &mut pending, output, responses, ctx.net)?;
-                while pending.len() >= max_pending {
-                    // Bounded buffering: block on the head-of-line
-                    // response instead of queueing the rest of the input.
-                    let head = pending.pop_front().expect("len >= 1");
-                    let response = head.pending.wait();
-                    write_entry(engine, output, &response, head.queued, responses, ctx.net)?;
-                    drain_ready(engine, &mut pending, output, responses, ctx.net)?;
+                match parse_line(engine, ctx.scope, &text, this_line) {
+                    ParsedLine::Entry(pending) => pending,
+                    ParsedLine::Shutdown(ack) => {
+                        let _ = queue.send(Entry::new(ack));
+                        return Ok(LoopExit::Shutdown);
+                    }
                 }
             }
+        };
+        if queue.send(Entry::new(pending)).is_err() {
+            // The writer hung up on an output error; it reports that.
+            return Ok(LoopExit::Eof);
         }
         // Periodic metrics are per-process state: the file/stdin path
         // writes them here; the TCP frontend's acceptor owns them instead
@@ -584,14 +426,72 @@ pub(crate) fn serve_lines<R: BufRead, W: Write>(
                 }
             }
         }
-    };
-    drain_all(engine, &mut pending, output, responses, ctx.net)?;
-    output.flush()?;
-    Ok(exit)
+    }
+}
+
+/// The writer half of [`serve_lines`]: wait on each queued entry in
+/// order, then serialize, write and flush it. Returns the number of
+/// responses written once the reader has closed the queue.
+fn write_responses<W: Write>(
+    engine: &Engine,
+    queue: Receiver<Entry>,
+    output: &mut W,
+    net: Option<&NetMetrics>,
+) -> std::io::Result<u64> {
+    let mut responses = 0;
+    for entry in queue {
+        let response = entry.pending.wait();
+        let _span = ise_obs::Span::enter("net.write");
+        if let Some(net) = net {
+            net.write_queue_wait.record(entry.queued.elapsed());
+            NetMetrics::inc_counter(&net.responses_total);
+        }
+        let started = Instant::now();
+        let json = serde_json::to_string(&response).expect("response serialization is infallible");
+        engine.record_serialize_time(started.elapsed());
+        writeln!(output, "{json}")?;
+        output.flush()?;
+        responses += 1;
+    }
+    Ok(responses)
+}
+
+/// The serve loop shared by the stdin/file path and every TCP connection:
+/// this thread reads and dispatches lines while a scoped writer thread
+/// streams the ordered responses to `output`. Returns why reading stopped
+/// and how many responses were written. Every accepted request is
+/// answered before this returns, a read or metrics error included; an
+/// output error ends the writer early and is returned.
+pub(crate) fn serve_lines<R: BufRead, W: Write + Send>(
+    engine: &Engine,
+    input: &mut R,
+    output: &mut W,
+    opts: &ServeOptions,
+    ctx: &StreamScope<'_>,
+) -> std::io::Result<(LoopExit, u64)> {
+    let (queue, queued) = sync_channel(opts.max_pending.max(1));
+    // The writer's spans nest under this thread's current span (a no-op
+    // without an active trace).
+    let trace = ise_obs::SpanContext::current();
+    let net = ctx.net;
+    std::thread::scope(|s| {
+        let writer = std::thread::Builder::new()
+            .name("ise-serve-write".to_string())
+            .spawn_scoped(s, move || {
+                let _trace = trace.install();
+                write_responses(engine, queued, output, net)
+            })
+            .expect("spawn writer thread");
+        let exit = read_requests(engine, input, queue, opts, ctx);
+        let written = writer
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        Ok((exit?, written?))
+    })
 }
 
 /// [`serve_with`] under default [`ServeOptions`].
-pub fn serve<R: BufRead, W: Write>(
+pub fn serve<R: BufRead, W: Write + Send>(
     input: R,
     output: &mut W,
     config: EngineConfig,
@@ -601,27 +501,21 @@ pub fn serve<R: BufRead, W: Write>(
 
 /// Read JSONL requests from `input`, solve them on `config`'s worker pool,
 /// and stream JSONL responses to `output` in input order (see the module
-/// docs for the id contract and backpressure behavior).
+/// docs for the id contract and backpressure behavior). `output` moves to
+/// a writer thread for the run, hence `Send`.
 ///
-/// I/O errors abort the run; per-request failures do not. A
-/// `{"cmd": "shutdown"}` line stops reading early after a full drain.
-pub fn serve_with<R: BufRead, W: Write>(
-    input: R,
+/// I/O errors, including a failed `metrics_out` write, end the run with
+/// an error once every request read so far has been answered;
+/// per-request failures do not. A `{"cmd": "shutdown"}` line stops
+/// reading early after a full drain.
+pub fn serve_with<R: BufRead, W: Write + Send>(
+    mut input: R,
     output: &mut W,
     config: EngineConfig,
     opts: &ServeOptions,
 ) -> std::io::Result<ServeSummary> {
     let engine = Engine::new(config);
-    let mut input = input;
-    let mut responses = 0u64;
-    serve_lines(
-        &engine,
-        &mut input,
-        output,
-        opts,
-        &StreamScope::global(),
-        &mut responses,
-    )?;
+    let (_, responses) = serve_lines(&engine, &mut input, output, opts, &StreamScope::global())?;
     let metrics = engine.metrics();
     if let Some(path) = &opts.metrics_out {
         write_metrics_file(&engine, path)?;
@@ -633,8 +527,7 @@ pub fn serve_with<R: BufRead, W: Write>(
 mod tests {
     use super::*;
     use std::io::{BufReader, Cursor, Read};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::mpsc::{channel, Sender};
 
     fn request_line(id: u64, proc: i64) -> String {
         format!(
@@ -858,57 +751,35 @@ mod tests {
         );
     }
 
-    /// Yields one request line per `read` call, sleeping before the final
-    /// line so earlier requests have time to resolve. At EOF it records
-    /// whether the writer had already emitted a response — the serve loop
-    /// drains opportunistically after each submit, so a response written
-    /// before the EOF read proves pre-EOF streaming.
-    struct GatedReader {
-        lines: Vec<String>,
-        next: usize,
-        written: Arc<AtomicU64>,
-        streamed: Arc<AtomicBool>,
-    }
+    /// Input that blocks until the test hands it the next line, like a
+    /// client that waits for each answer before sending more; EOF once
+    /// the test hangs up.
+    struct ClientInput(Receiver<String>);
 
-    impl Read for GatedReader {
+    impl Read for ClientInput {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.next >= self.lines.len() {
-                // Grace period: the drain after the last submit races the
-                // last-but-one solve; give it a bounded moment. (The write
-                // happens on the serve thread before this read is issued,
-                // so in the common case written > 0 already.)
-                let deadline = Instant::now() + Duration::from_secs(10);
-                while self.written.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                if self.written.load(Ordering::SeqCst) > 0 {
-                    self.streamed.store(true, Ordering::SeqCst);
-                }
+            let Ok(line) = self.0.recv() else {
                 return Ok(0);
-            }
-            if self.next == self.lines.len() - 1 {
-                // Let the earlier requests finish solving so the drain
-                // after this line's submit flushes them pre-EOF.
-                std::thread::sleep(Duration::from_secs(1));
-            }
-            let line = self.lines[self.next].as_bytes();
+            };
             assert!(buf.len() >= line.len(), "test lines fit one read");
-            buf[..line.len()].copy_from_slice(line);
-            self.next += 1;
+            buf[..line.len()].copy_from_slice(line.as_bytes());
             Ok(line.len())
         }
     }
 
-    struct CountingWriter {
+    /// Output that hands each complete response line to the test.
+    struct ClientOutput {
         buf: Vec<u8>,
-        lines: Arc<AtomicU64>,
+        lines: Sender<String>,
     }
 
-    impl Write for CountingWriter {
+    impl Write for ClientOutput {
         fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
             self.buf.extend_from_slice(data);
-            let newlines = data.iter().filter(|&&b| b == b'\n').count() as u64;
-            self.lines.fetch_add(newlines, Ordering::SeqCst);
+            while let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
+                let line: Vec<u8> = self.buf.drain(..=pos).collect();
+                let _ = self.lines.send(String::from_utf8(line).unwrap());
+            }
             Ok(data.len())
         }
 
@@ -918,47 +789,37 @@ mod tests {
     }
 
     #[test]
-    fn streams_first_response_before_input_is_exhausted() {
-        let written = Arc::new(AtomicU64::new(0));
-        let streamed = Arc::new(AtomicBool::new(false));
-        let reader = GatedReader {
-            lines: vec![
-                format!("{}\n", request_line(0, 4)),
-                format!("{}\n", request_line(1, 5)),
-                format!("{}\n", request_line(2, 6)),
-            ],
-            next: 0,
-            written: Arc::clone(&written),
-            streamed: Arc::clone(&streamed),
-        };
-        let mut out = CountingWriter {
-            buf: Vec::new(),
-            lines: Arc::clone(&written),
-        };
-        let summary = serve(
-            BufReader::new(reader),
-            &mut out,
-            EngineConfig {
-                workers: 2,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
+    fn closed_loop_client_gets_each_answer_without_more_input() {
+        let (to_server, input) = channel();
+        let (output, from_server) = channel();
+        let server = std::thread::spawn(move || {
+            let mut out = ClientOutput {
+                buf: Vec::new(),
+                lines: output,
+            };
+            serve_with(
+                BufReader::new(ClientInput(input)),
+                &mut out,
+                EngineConfig::default(),
+                &ServeOptions::default(),
+            )
+        });
+        // Each request is answered while the input stays open; nothing
+        // but the request itself has to arrive first.
+        for id in 0..3u64 {
+            to_server
+                .send(format!("{}\n", request_line(id, 4 + id as i64)))
+                .unwrap();
+            let line = from_server
+                .recv_timeout(Duration::from_secs(10))
+                .expect("no response while the input stayed open");
+            let v: serde_json::Value = serde_json::from_str(&line).unwrap();
+            assert_eq!(v["id"].as_u64(), Some(id));
+            assert_eq!(v["status"].as_str(), Some("ok"));
+        }
+        drop(to_server);
+        let summary = server.join().unwrap().unwrap();
         assert_eq!(summary.responses, 3);
-        assert!(
-            streamed.load(Ordering::SeqCst),
-            "no response was written before the input finished"
-        );
-        let lines: Vec<&str> = std::str::from_utf8(&out.buf).unwrap().lines().collect();
-        let ids: Vec<u64> = lines
-            .iter()
-            .map(|l| {
-                serde_json::from_str::<serde_json::Value>(l).unwrap()["id"]
-                    .as_u64()
-                    .unwrap()
-            })
-            .collect();
-        assert_eq!(ids, vec![0, 1, 2], "streaming must preserve input order");
     }
 
     #[test]
@@ -982,6 +843,81 @@ mod tests {
         .unwrap();
         assert_eq!(summary.responses, 20);
         let ids: Vec<u64> = std::str::from_utf8(&out)
+            .unwrap()
+            .lines()
+            .map(|l| {
+                serde_json::from_str::<serde_json::Value>(l).unwrap()["id"]
+                    .as_u64()
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(ids, (0..20).collect::<Vec<u64>>());
+    }
+
+    /// Output whose first write blocks until the test releases it, like a
+    /// client that stops reading.
+    struct StalledOutput {
+        release: Receiver<()>,
+        stalled: bool,
+        buf: Vec<u8>,
+    }
+
+    impl Write for StalledOutput {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            if !std::mem::replace(&mut self.stalled, true) {
+                let _ = self.release.recv();
+            }
+            self.buf.extend_from_slice(data);
+            Ok(data.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_stalled_writer_stops_the_reader_at_max_pending() {
+        let engine = Engine::new(EngineConfig::default());
+        let input: String = (0..20)
+            .map(|i| format!("{}\n", request_line(i, 4)))
+            .collect();
+        let (release, stalled) = channel();
+        let mut out = StalledOutput {
+            release: stalled,
+            stalled: false,
+            buf: Vec::new(),
+        };
+        let opts = ServeOptions {
+            max_pending: 3,
+            ..ServeOptions::default()
+        };
+        let requests = || engine.metrics().requests;
+        let (accepted, written) = std::thread::scope(|s| {
+            let server = s.spawn(|| {
+                serve_lines(
+                    &engine,
+                    &mut input.as_bytes(),
+                    &mut out,
+                    &opts,
+                    &StreamScope::global(),
+                )
+            });
+            // One response in the stalled writer's hands, `max_pending`
+            // queued behind it, and one more submitted by the reader as
+            // it waits for room: then reading stops.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while requests() < 5 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            std::thread::sleep(Duration::from_millis(200));
+            let accepted = requests();
+            release.send(()).unwrap();
+            (accepted, server.join().unwrap().unwrap().1)
+        });
+        assert_eq!(accepted, 5, "requests accepted ahead of the stalled writer");
+        assert_eq!(written, 20);
+        let ids: Vec<u64> = std::str::from_utf8(&out.buf)
             .unwrap()
             .lines()
             .map(|l| {
@@ -1085,5 +1021,40 @@ mod tests {
             text.contains("# TYPE ise_solve_time_us histogram"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn metrics_write_error_still_answers_accepted_requests() {
+        let path = std::env::temp_dir()
+            .join(format!("ise-no-such-dir-{}", std::process::id()))
+            .join("m.prom");
+        let input = format!("{}\n{}\n", request_line(0, 4), request_line(1, 5));
+        let mut out = Vec::new();
+        let err = serve_with(
+            input.as_bytes(),
+            &mut out,
+            EngineConfig::default(),
+            &ServeOptions {
+                metrics_out: Some(path.clone()),
+                metrics_interval: Duration::ZERO,
+                ..ServeOptions::default()
+            },
+        )
+        .err()
+        .expect("an unwritable metrics path is an error");
+        assert!(
+            err.to_string().contains(&path.display().to_string()),
+            "{err}"
+        );
+        // The failed write after line 0 stops reading, but line 0 was
+        // already accepted, so it is answered before the error surfaces.
+        let lines: Vec<serde_json::Value> = std::str::from_utf8(&out)
+            .unwrap()
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert_eq!(lines[0]["id"].as_u64(), Some(0));
+        assert_eq!(lines[0]["status"].as_str(), Some("ok"));
     }
 }

@@ -809,7 +809,7 @@ fn run_serve<R: BufRead>(
             Ok(summary)
         }
         None => {
-            let mut stdout = BufWriter::new(std::io::stdout().lock());
+            let mut stdout = BufWriter::new(std::io::stdout());
             serve_with(input, &mut stdout, config, opts).map_err(|e| e.to_string())
         }
     }

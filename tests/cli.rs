@@ -325,6 +325,47 @@ fn serve_bounds_line_length_on_the_file_path() {
     assert_eq!(lines[1]["status"].as_str(), Some("ok"));
 }
 
+/// A client that writes one request and then waits, keeping stdin open,
+/// must get its answer: responses go out as they resolve, not when the
+/// next line or EOF arrives.
+#[test]
+fn serve_answers_a_closed_loop_client_over_a_pipe() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ise"))
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn ise serve");
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let mut line = String::new();
+        stdout.read_line(&mut line).expect("read response");
+        let _ = tx.send(line);
+    });
+    writeln!(
+        stdin,
+        "{{\"id\": 7, \"instance\": {{\"jobs\": [{{\"id\": 0, \"release\": 0, \
+         \"deadline\": 30, \"proc\": 4}}], \"machines\": 1, \"calib_len\": 10}}}}"
+    )
+    .expect("write request");
+    stdin.flush().expect("flush request");
+    let answer = rx.recv_timeout(std::time::Duration::from_secs(10));
+    // Closing stdin lets the server exit whether or not it answered.
+    drop(stdin);
+    let status = child.wait().expect("ise serve exits");
+    reader.join().expect("reader thread");
+    let line = answer.expect("no response while stdin stayed open");
+    let v: serde_json::Value = serde_json::from_str(line.trim_end()).unwrap();
+    assert_eq!(v["id"].as_u64(), Some(7));
+    assert_eq!(v["status"].as_str(), Some("ok"));
+    assert!(status.success());
+}
+
 #[test]
 fn serve_listen_flag_validation_is_strict() {
     // Network-only flags demand --listen.

@@ -392,6 +392,52 @@ fn slow_loris_hits_idle_timeout() {
     assert_eq!(summary.net.idle_timeouts, 1);
 }
 
+/// A slow-loris that keeps trickling bytes of an unterminated line after
+/// its last complete one: the idle budget runs from that last newline, so
+/// the stray bytes must not keep restarting it.
+#[test]
+fn byte_trickling_slow_loris_times_out_from_its_last_complete_line() {
+    const IDLE: Duration = Duration::from_millis(300);
+    let server = bind(
+        EngineConfig::default(),
+        NetOptions {
+            idle_timeout: Some(IDLE),
+            ..NetOptions::default()
+        },
+    );
+    let mut client = Client::open(server.local_addr());
+    let last_line = Instant::now();
+    client.send(&solve_line(1, &small_instance(1)));
+    assert_eq!(client.read_response()["status"].as_str(), Some("ok"));
+    // One byte every 75 ms for up to 3 s, until the server hangs up.
+    let mut trickler = client.writer.try_clone().expect("clone stream");
+    let trickle = std::thread::spawn(move || {
+        for b in b"{\"id\": 2, \"instance\": ".iter().cycle().take(40) {
+            if trickler.write_all(std::slice::from_ref(b)).is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(75));
+        }
+    });
+    let notice = client.read_response();
+    let waited = last_line.elapsed();
+    assert_eq!(notice["status"].as_str(), Some("error"));
+    assert!(
+        notice["error"].as_str().unwrap().contains("idle timeout"),
+        "{notice:?}"
+    );
+    assert!(
+        waited >= IDLE && waited < Duration::from_millis(1500),
+        "idle notice {waited:?} after the last complete line"
+    );
+    trickle.join().expect("trickle thread");
+    wait_until("the timed-out connection to be reaped", || {
+        server.snapshot().1.connections_open == 0
+    });
+    let summary = server.shutdown();
+    assert_eq!(summary.net.idle_timeouts, 1);
+}
+
 #[test]
 fn oversized_line_is_rejected_inline_and_connection_survives() {
     let server = bind(
