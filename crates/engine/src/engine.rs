@@ -9,7 +9,7 @@
 
 use crate::cache::{basis_key, cache_key, ShardedLru};
 use crate::fallback::greedy_fallback_trimmed;
-use crate::metrics::{EngineMetrics, MetricsSnapshot};
+use crate::metrics::{inc, EngineMetrics, MetricsSnapshot};
 use crate::queue::{BoundedQueue, PushError};
 use ise_model::{Instance, Schedule};
 use ise_obs::PhaseTimings;
@@ -203,6 +203,26 @@ pub struct EngineResponse {
     pub session: Option<SessionInfo>,
 }
 
+impl EngineResponse {
+    /// A response with only `id` and `status` set; callers fill in the
+    /// fields that apply.
+    pub(crate) fn new(id: u64, status: &str) -> EngineResponse {
+        EngineResponse {
+            id,
+            status: status.to_string(),
+            cached: false,
+            timed_out: false,
+            calibrations: None,
+            schedule: None,
+            error: None,
+            solve_us: 0,
+            lp: None,
+            phases: None,
+            session: None,
+        }
+    }
+}
+
 /// Why [`Engine::submit`] refused a request.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SubmitError {
@@ -350,26 +370,31 @@ impl Engine {
         };
         match pushed {
             Ok(()) => {
-                EngineMetrics::inc(&self.shared.metrics.requests);
+                inc(&self.shared.metrics.requests);
                 Ok(slot)
             }
             Err((_, PushError::Full)) => {
-                EngineMetrics::inc(&self.shared.metrics.rejected);
+                inc(&self.shared.metrics.rejected);
                 Err(SubmitError::QueueFull)
             }
             Err((_, PushError::Closed)) => Err(SubmitError::ShuttingDown),
         }
     }
 
-    /// Live metrics counters, with the gauge fields (`cache_evictions`,
-    /// `basis_cache_entries`, `sessions_open`) read from live engine
-    /// state.
+    /// Live metrics counters, with the gauges (`cache_evictions`,
+    /// `basis_cache_entries`, `sessions_open`) first sampled from live
+    /// engine state.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.shared.metrics.snapshot();
-        snap.cache_evictions = self.shared.cache.evictions() + self.shared.bases.evictions();
-        snap.basis_cache_entries = self.shared.bases.len() as u64;
-        snap.sessions_open = self.lock_sessions().len() as u64;
-        snap
+        use std::sync::atomic::Ordering::Relaxed;
+        let shared = &self.shared;
+        let evictions = shared.cache.evictions() + shared.bases.evictions();
+        let entries = shared.bases.len() as u64;
+        let sessions = self.lock_sessions().len() as u64;
+        let m = &shared.metrics;
+        m.cache_evictions.store(evictions, Relaxed);
+        m.basis_cache_entries.store(entries, Relaxed);
+        m.sessions_open.store(sessions, Relaxed);
+        m.snapshot()
     }
 
     /// Lock the session registry, recovering from poisoning. Sessions are
@@ -426,10 +451,11 @@ impl Engine {
         scope: u64,
     ) -> EngineResponse {
         let error = |message: String, session: Option<SessionInfo>| {
-            EngineMetrics::inc(&self.shared.metrics.errors);
-            let mut r = session_response(id, status::ERROR, session);
-            r.error = Some(message);
-            r
+            inc(&self.shared.metrics.errors);
+            EngineResponse {
+                error: Some(message),
+                ..session_response(id, status::ERROR, session)
+            }
         };
         let Some(cmd) = &request.session else {
             return error("not a session request".to_string(), None);
@@ -528,7 +554,7 @@ impl Engine {
                             ise_session::ReuseTier::Warm => &self.shared.metrics.session_reuse_warm,
                             ise_session::ReuseTier::Cold => &self.shared.metrics.session_reuse_cold,
                         };
-                        EngineMetrics::inc(tier_counter);
+                        inc(tier_counter);
                         self.shared
                             .metrics
                             .solve_time
@@ -635,7 +661,7 @@ fn worker_loop(shared: &Shared) {
                 response.phases = Some(phases);
             }
         }
-        EngineMetrics::inc(&shared.metrics.completed);
+        inc(&shared.metrics.completed);
         job.slot.fill(response);
     }
 }
@@ -654,17 +680,8 @@ fn parse_backend(name: &str) -> Result<MmBackend, String> {
 /// command-specific fields.
 fn session_response(id: u64, status: &str, session: Option<SessionInfo>) -> EngineResponse {
     EngineResponse {
-        id,
-        status: status.to_string(),
-        cached: false,
-        timed_out: false,
-        calibrations: None,
-        schedule: None,
-        error: None,
-        solve_us: 0,
-        lp: None,
-        phases: None,
         session,
+        ..EngineResponse::new(id, status)
     }
 }
 
@@ -675,19 +692,11 @@ fn handle_request(
     request: &EngineRequest,
 ) -> EngineResponse {
     let error = |message: String, timed_out: bool| {
-        EngineMetrics::inc(&shared.metrics.errors);
+        inc(&shared.metrics.errors);
         EngineResponse {
-            id,
-            status: status::ERROR.to_string(),
-            cached: false,
             timed_out,
-            calibrations: None,
-            schedule: None,
             error: Some(message),
-            solve_us: 0,
-            lp: None,
-            phases: None,
-            session: None,
+            ..EngineResponse::new(id, status::ERROR)
         }
     };
 
@@ -713,22 +722,16 @@ fn handle_request(
     let probed = shared.cache.get(key);
     drop(probe_span);
     if let Some(hit) = probed {
-        EngineMetrics::inc(&shared.metrics.cache_hits);
+        inc(&shared.metrics.cache_hits);
         return EngineResponse {
-            id,
-            status: status::OK.to_string(),
             cached: true,
-            timed_out: false,
             calibrations: Some(hit.calibrations as u64),
             schedule: Some(hit.schedule.clone()),
-            error: None,
-            solve_us: 0,
             lp: hit.lp,
-            phases: None,
-            session: None,
+            ..EngineResponse::new(id, status::OK)
         };
     }
-    EngineMetrics::inc(&shared.metrics.cache_misses);
+    inc(&shared.metrics.cache_misses);
 
     // Warm-start lookup: a prior solve of the same jobs/calibration
     // length/speed (at any machine budget) left its optimal LP basis
@@ -738,9 +741,9 @@ fn handle_request(
     let bkey = basis_key(instance, speed);
     let warm_basis = shared.bases.get(bkey);
     if warm_basis.is_some() {
-        EngineMetrics::inc(&shared.metrics.basis_hits);
+        inc(&shared.metrics.basis_hits);
     } else {
-        EngineMetrics::inc(&shared.metrics.basis_misses);
+        inc(&shared.metrics.basis_misses);
     }
 
     let budget = request
@@ -795,36 +798,24 @@ fn handle_request(
                 }),
             );
             EngineResponse {
-                id,
-                status: status::OK.to_string(),
-                cached: false,
-                timed_out: false,
                 calibrations: Some(calibrations as u64),
                 schedule: Some(outcome.schedule),
-                error: None,
                 solve_us,
                 lp,
-                phases: None,
-                session: None,
+                ..EngineResponse::new(id, status::OK)
             }
         }
         Ok(_) | Err(SchedError::Cancelled) => {
-            EngineMetrics::inc(&shared.metrics.timeouts);
+            inc(&shared.metrics.timeouts);
             if shared.config.fallback_on_timeout {
-                EngineMetrics::inc(&shared.metrics.fallbacks);
+                inc(&shared.metrics.fallbacks);
                 let schedule = greedy_fallback_trimmed(instance, trim);
                 EngineResponse {
-                    id,
-                    status: status::FALLBACK.to_string(),
-                    cached: false,
                     timed_out: true,
                     calibrations: Some(schedule.num_calibrations() as u64),
                     schedule: Some(schedule),
-                    error: None,
                     solve_us,
-                    lp: None,
-                    phases: None,
-                    session: None,
+                    ..EngineResponse::new(id, status::FALLBACK)
                 }
             } else {
                 let mut r = error("solve timed out".to_string(), true);

@@ -15,8 +15,8 @@
 //! * [`cache`] — sharded LRU keyed by a canonical hash of
 //!   `(instance, options)`, plus a warm-start LP-basis cache keyed on the
 //!   job set alone so machine-budget sweeps skip simplex phase 1.
-//! * [`metrics`] — atomic counters plus log₂ latency histograms,
-//!   serializable to JSON.
+//! * [`metrics`] — atomic counters plus log₂ latency histograms, each
+//!   declared once and rendered to JSON and Prometheus text.
 //! * [`fallback`] — the infallible greedy schedule used on timeout.
 //! * [`engine`] — the worker pool tying the above together, plus the
 //!   incremental-session registry (`open`/`delta`/`solve`/`close`
@@ -41,8 +41,7 @@ pub use engine::{
 };
 pub use fallback::greedy_fallback;
 pub use metrics::{
-    prometheus_text, prometheus_text_with_net, EngineMetrics, MetricsSnapshot, NetMetrics,
-    NetMetricsSnapshot,
+    prometheus_text, EngineMetrics, MetricsSnapshot, NetMetrics, NetMetricsSnapshot,
 };
 pub use net::{NetOptions, NetServer, NetSummary};
 pub use serve::{serve, serve_with, ServeOptions, ServeSummary, FALLBACK_ID_BASE};

@@ -1,12 +1,20 @@
-//! Engine counters and latency histograms.
+//! Served metrics: engine and TCP-frontend counters, gauges and latency
+//! histograms.
 //!
-//! All counters are relaxed atomics bumped by workers and read by
-//! [`EngineMetrics::snapshot`], which produces a serializable
-//! [`MetricsSnapshot`]. Latencies go into log₂-bucketed histograms
-//! (bucket `i` counts durations in `[2^(i-1), 2^i)` microseconds), from
-//! which the snapshot derives approximate quantiles.
+//! Each metric is declared once, as one line of a `metrics!` list: its
+//! field, live type, Prometheus name (plus an optional label), Prometheus
+//! type and help text. That line yields the live field bumped by workers
+//! (a relaxed atomic or a lock-free histogram), the field of the same name
+//! and position in the serializable snapshot, its read in `snapshot()`, and
+//! its Prometheus family in [`prometheus_text`]. Consecutive lines with the
+//! same Prometheus name form one labelled family.
+//!
+//! Latencies go into log₂-bucketed histograms (bucket `i` counts durations
+//! in `[2^(i-1), 2^i)` microseconds), from which the snapshot derives
+//! approximate quantiles.
 
 use serde::Serialize;
+use std::fmt::{Display, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -169,484 +177,217 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<u64>,
 }
 
-/// Live counters shared by all engine workers.
-#[derive(Default)]
-pub struct EngineMetrics {
-    /// Requests accepted into the queue.
-    pub requests: AtomicU64,
-    /// Requests refused by `Reject` backpressure.
-    pub rejected: AtomicU64,
-    /// Responses produced (any status).
-    pub completed: AtomicU64,
-    /// Responses served from the result cache.
-    pub cache_hits: AtomicU64,
-    /// Requests that missed the cache and went to the solver.
-    pub cache_misses: AtomicU64,
-    /// Cache-missing solves that found a warm-start LP basis.
-    pub basis_hits: AtomicU64,
-    /// Cache-missing solves that started the LP cold.
-    pub basis_misses: AtomicU64,
-    /// Solves that hit their deadline and were cancelled.
-    pub timeouts: AtomicU64,
-    /// Timed-out solves rescued by the greedy fallback.
-    pub fallbacks: AtomicU64,
-    /// Solves that ended in an error response.
-    pub errors: AtomicU64,
-    /// Session commits that reused a cached optimal basis (machine-budget
-    /// deltas only; LP phase 1 skipped).
-    pub session_reuse_basis: AtomicU64,
-    /// Session commits that warm-started the LP after job add/remove
-    /// deltas, replaying unchanged short intervals from the memo.
-    pub session_reuse_warm: AtomicU64,
-    /// Session commits that recomputed everything (first commit or
-    /// structural deltas).
-    pub session_reuse_cold: AtomicU64,
-    /// LP recovery-ladder rung 1 activations (mid-solve refactorization).
-    pub lp_recoveries_refactor: AtomicU64,
-    /// LP recovery-ladder rung 2 activations (tightened pivot tolerance).
-    pub lp_recoveries_tighten: AtomicU64,
-    /// LP recovery-ladder rung 3 activations (Dantzig full pricing).
-    pub lp_recoveries_dantzig: AtomicU64,
-    /// LP recovery-ladder rung 4 activations (eta-kernel fallback).
-    pub lp_recoveries_eta: AtomicU64,
-    /// LP recovery-ladder rung 5 activations (dense-kernel fallback).
-    pub lp_recoveries_dense: AtomicU64,
-    /// Worst LU fill-in (stored L+U nonzeros) seen across solves.
-    pub lp_lu_fill_nnz: AtomicU64,
-    /// Forrest–Tomlin pivot updates applied across solves.
-    pub lp_lu_ft_updates: AtomicU64,
-    /// FTRAN/BTRAN solves that took the hyper-sparse path.
-    pub lp_lu_sparse_solves: AtomicU64,
-    /// FTRAN/BTRAN solves that fell back to the dense triangular kernels.
-    pub lp_lu_dense_solves: AtomicU64,
-    /// Worst relative LP residual per solve, for solves where the residual
-    /// monitor ran.
-    pub lp_residual: ResidualHistogram,
-    /// Time requests spent queued before a worker picked them up.
-    pub queue_wait: LatencyHistogram,
-    /// Time spent in the solver (cache misses only).
-    pub solve_time: LatencyHistogram,
-    /// Time spent serializing responses (recorded by `ise serve`).
-    pub serialize_time: LatencyHistogram,
+/// A live metric cell and the serializable value a snapshot reads from it.
+pub trait Live {
+    /// The value a snapshot holds.
+    type Snapshot;
+    /// Read the current value.
+    fn read(&self) -> Self::Snapshot;
 }
 
-impl EngineMetrics {
-    /// Bump a counter by one.
-    pub fn inc(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A consistent-enough copy of all counters for reporting.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            basis_hits: self.basis_hits.load(Ordering::Relaxed),
-            basis_misses: self.basis_misses.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            session_reuse_basis: self.session_reuse_basis.load(Ordering::Relaxed),
-            session_reuse_warm: self.session_reuse_warm.load(Ordering::Relaxed),
-            session_reuse_cold: self.session_reuse_cold.load(Ordering::Relaxed),
-            lp_recoveries_refactor: self.lp_recoveries_refactor.load(Ordering::Relaxed),
-            lp_recoveries_tighten: self.lp_recoveries_tighten.load(Ordering::Relaxed),
-            lp_recoveries_dantzig: self.lp_recoveries_dantzig.load(Ordering::Relaxed),
-            lp_recoveries_eta: self.lp_recoveries_eta.load(Ordering::Relaxed),
-            lp_recoveries_dense: self.lp_recoveries_dense.load(Ordering::Relaxed),
-            lp_lu_fill_nnz: self.lp_lu_fill_nnz.load(Ordering::Relaxed),
-            lp_lu_ft_updates: self.lp_lu_ft_updates.load(Ordering::Relaxed),
-            lp_lu_sparse_solves: self.lp_lu_sparse_solves.load(Ordering::Relaxed),
-            lp_lu_dense_solves: self.lp_lu_dense_solves.load(Ordering::Relaxed),
-            lp_residual: self.lp_residual.snapshot(),
-            cache_evictions: 0,
-            basis_cache_entries: 0,
-            sessions_open: 0,
-            queue_wait: self.queue_wait.snapshot(),
-            solve_time: self.solve_time.snapshot(),
-            serialize_time: self.serialize_time.snapshot(),
-        }
+impl Live for AtomicU64 {
+    type Snapshot = u64;
+    fn read(&self) -> u64 {
+        self.load(Ordering::Relaxed)
     }
 }
 
-/// Serializable engine metrics (see [`EngineMetrics`] for field meanings).
-#[derive(Clone, Debug, Serialize)]
-pub struct MetricsSnapshot {
-    /// Requests accepted into the queue.
-    pub requests: u64,
-    /// Requests refused by `Reject` backpressure.
-    pub rejected: u64,
-    /// Responses produced (any status).
-    pub completed: u64,
-    /// Responses served from the result cache.
-    pub cache_hits: u64,
-    /// Requests that went to the solver.
-    pub cache_misses: u64,
-    /// Cache-missing solves that found a warm-start LP basis.
-    pub basis_hits: u64,
-    /// Cache-missing solves that started the LP cold.
-    pub basis_misses: u64,
-    /// Solves cancelled at their deadline.
-    pub timeouts: u64,
-    /// Timed-out solves rescued by the greedy fallback.
-    pub fallbacks: u64,
-    /// Error responses.
-    pub errors: u64,
-    /// Session commits at the basis reuse tier.
-    pub session_reuse_basis: u64,
-    /// Session commits at the warm reuse tier.
-    pub session_reuse_warm: u64,
-    /// Session commits at the cold reuse tier.
-    pub session_reuse_cold: u64,
-    /// LP recovery-ladder activations, rung 1 (refactorization).
-    pub lp_recoveries_refactor: u64,
-    /// LP recovery-ladder activations, rung 2 (tightened pivot tolerance).
-    pub lp_recoveries_tighten: u64,
-    /// LP recovery-ladder activations, rung 3 (Dantzig pricing).
-    pub lp_recoveries_dantzig: u64,
-    /// LP recovery-ladder activations, rung 4 (eta fallback).
-    pub lp_recoveries_eta: u64,
-    /// LP recovery-ladder activations, rung 5 (dense fallback).
-    pub lp_recoveries_dense: u64,
-    /// Worst LU fill-in (stored L+U nonzeros) seen across solves.
-    pub lp_lu_fill_nnz: u64,
-    /// Forrest–Tomlin pivot updates applied across solves.
-    pub lp_lu_ft_updates: u64,
-    /// FTRAN/BTRAN solves that took the hyper-sparse path.
-    pub lp_lu_sparse_solves: u64,
-    /// FTRAN/BTRAN solves on the dense triangular fallback.
-    pub lp_lu_dense_solves: u64,
-    /// Per-solve worst relative LP residual histogram.
-    pub lp_residual: ResidualHistogramSnapshot,
-    /// Result- and basis-cache entries evicted by LRU capacity pressure
-    /// (gauge; filled in by `Engine::metrics`, 0 from a bare
-    /// `EngineMetrics::snapshot`).
-    pub cache_evictions: u64,
-    /// Live warm-start bases held by the basis cache (gauge; filled in by
-    /// `Engine::metrics`).
-    pub basis_cache_entries: u64,
-    /// Currently open incremental sessions (gauge; filled in by
-    /// `Engine::metrics`).
-    pub sessions_open: u64,
-    /// Queue-wait latency histogram.
-    pub queue_wait: HistogramSnapshot,
-    /// Solver latency histogram.
-    pub solve_time: HistogramSnapshot,
-    /// Response-serialization latency histogram.
-    pub serialize_time: HistogramSnapshot,
-}
-
-/// Live counters for the TCP frontend (`ise serve --listen`), shared by
-/// the acceptor and every connection thread.
-#[derive(Default)]
-pub struct NetMetrics {
-    /// Connections accepted, including ones immediately shed.
-    pub connections_total: AtomicU64,
-    /// Currently open connections (gauge).
-    pub connections_open: AtomicU64,
-    /// Connections refused at accept time (connection cap or drain).
-    pub shed_total: AtomicU64,
-    /// Bytes read from clients.
-    pub bytes_in: AtomicU64,
-    /// Bytes written to clients.
-    pub bytes_out: AtomicU64,
-    /// Lines rejected for exceeding the configured maximum length.
-    pub oversize_lines: AtomicU64,
-    /// Connections closed by the read idle timeout.
-    pub idle_timeouts: AtomicU64,
-    /// Responses written across all connections.
-    pub responses_total: AtomicU64,
-    /// Time responses spent in a per-connection write queue (behind the
-    /// head-of-line response) before being written.
-    pub write_queue_wait: LatencyHistogram,
-}
-
-impl NetMetrics {
-    /// Bump a counter by one.
-    pub fn inc_counter(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A consistent-enough copy of all counters for reporting.
-    pub fn snapshot(&self) -> NetMetricsSnapshot {
-        NetMetricsSnapshot {
-            connections_total: self.connections_total.load(Ordering::Relaxed),
-            connections_open: self.connections_open.load(Ordering::Relaxed),
-            shed_total: self.shed_total.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            oversize_lines: self.oversize_lines.load(Ordering::Relaxed),
-            idle_timeouts: self.idle_timeouts.load(Ordering::Relaxed),
-            responses_total: self.responses_total.load(Ordering::Relaxed),
-            write_queue_wait: self.write_queue_wait.snapshot(),
-        }
+impl Live for LatencyHistogram {
+    type Snapshot = HistogramSnapshot;
+    fn read(&self) -> HistogramSnapshot {
+        self.snapshot()
     }
 }
 
-/// Serializable TCP-frontend metrics (see [`NetMetrics`]).
-#[derive(Clone, Debug, Serialize)]
-pub struct NetMetricsSnapshot {
-    /// Connections accepted, including ones immediately shed.
-    pub connections_total: u64,
-    /// Currently open connections (gauge).
-    pub connections_open: u64,
-    /// Connections refused at accept time.
-    pub shed_total: u64,
-    /// Bytes read from clients.
-    pub bytes_in: u64,
-    /// Bytes written to clients.
-    pub bytes_out: u64,
-    /// Lines rejected for exceeding the maximum length.
-    pub oversize_lines: u64,
-    /// Connections closed by the read idle timeout.
-    pub idle_timeouts: u64,
-    /// Responses written across all connections.
-    pub responses_total: u64,
-    /// Per-connection write-queue wait histogram.
-    pub write_queue_wait: HistogramSnapshot,
+impl Live for ResidualHistogram {
+    type Snapshot = ResidualHistogramSnapshot;
+    fn read(&self) -> ResidualHistogramSnapshot {
+        self.snapshot()
+    }
 }
 
-/// Render a snapshot in the Prometheus text exposition format: one
-/// `ise_*_total` counter family per engine counter and one histogram
-/// family per latency histogram, with cumulative `_bucket{le="..."}`
-/// series, `_sum` (microseconds), and `_count`.
-pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    let counters: [(&str, &str, u64); 10] = [
-        (
-            "requests",
-            "Requests accepted into the queue",
-            snap.requests,
-        ),
-        (
-            "rejected",
-            "Requests refused by backpressure",
-            snap.rejected,
-        ),
-        ("completed", "Responses produced", snap.completed),
-        (
-            "cache_hits",
-            "Responses served from the result cache",
-            snap.cache_hits,
-        ),
-        (
-            "cache_misses",
-            "Requests that went to the solver",
-            snap.cache_misses,
-        ),
-        (
-            "basis_hits",
-            "Solves warm-started from a cached basis",
-            snap.basis_hits,
-        ),
-        (
-            "basis_misses",
-            "Solves that started the LP cold",
-            snap.basis_misses,
-        ),
-        (
-            "timeouts",
-            "Solves cancelled at their deadline",
-            snap.timeouts,
-        ),
-        (
-            "fallbacks",
-            "Timed-out solves rescued by the greedy fallback",
-            snap.fallbacks,
-        ),
-        ("errors", "Error responses", snap.errors),
-    ];
-    for (name, help, value) in counters {
-        out.push_str(&format!(
-            "# HELP ise_{name}_total {help}\n# TYPE ise_{name}_total counter\nise_{name}_total {value}\n"
-        ));
+/// Bump a counter by one.
+pub(crate) fn inc(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// A snapshot value as Prometheus sample lines.
+trait Samples {
+    /// Append the samples of series `name`, with `label` (`{k="v"}` or
+    /// empty) on plain values.
+    fn write_samples(&self, out: &mut String, name: &str, label: &str);
+}
+
+impl Samples for u64 {
+    fn write_samples(&self, out: &mut String, name: &str, label: &str) {
+        let _ = writeln!(out, "{name}{label} {self}");
     }
-    out.push_str(
-        "# HELP ise_session_reuse_total Session commits by reuse tier\n\
-         # TYPE ise_session_reuse_total counter\n",
-    );
-    for (tier, value) in [
-        ("basis", snap.session_reuse_basis),
-        ("warm", snap.session_reuse_warm),
-        ("cold", snap.session_reuse_cold),
-    ] {
-        out.push_str(&format!(
-            "ise_session_reuse_total{{tier=\"{tier}\"}} {value}\n"
-        ));
+}
+
+impl Samples for HistogramSnapshot {
+    fn write_samples(&self, out: &mut String, name: &str, _: &str) {
+        let bounds = (0..self.buckets.len()).map(bucket_upper_us);
+        write_histogram(out, name, bounds, &self.buckets, self.count, self.sum_us);
     }
-    out.push_str(
-        "# HELP ise_lp_recoveries_total LP numerical recoveries by ladder rung\n\
-         # TYPE ise_lp_recoveries_total counter\n",
-    );
-    for (rung, value) in [
-        ("refactor", snap.lp_recoveries_refactor),
-        ("tighten", snap.lp_recoveries_tighten),
-        ("dantzig", snap.lp_recoveries_dantzig),
-        ("eta", snap.lp_recoveries_eta),
-        ("dense", snap.lp_recoveries_dense),
-    ] {
-        out.push_str(&format!(
-            "ise_lp_recoveries_total{{rung=\"{rung}\"}} {value}\n"
-        ));
+}
+
+impl Samples for ResidualHistogramSnapshot {
+    fn write_samples(&self, out: &mut String, name: &str, _: &str) {
+        let bounds = RESIDUAL_BOUNDS.iter().map(|b| format!("{b:e}"));
+        let sum = format!("{:e}", self.sum);
+        write_histogram(out, name, bounds, &self.buckets, self.count, sum);
     }
-    out.push_str(
-        "# HELP ise_lp_lu_fill_nnz Worst LU fill-in (stored L+U nonzeros) seen across solves\n\
-         # TYPE ise_lp_lu_fill_nnz gauge\n",
-    );
-    out.push_str(&format!("ise_lp_lu_fill_nnz {}\n", snap.lp_lu_fill_nnz));
-    out.push_str(
-        "# HELP ise_lp_lu_ft_updates_total Forrest-Tomlin pivot updates applied\n\
-         # TYPE ise_lp_lu_ft_updates_total counter\n",
-    );
-    out.push_str(&format!(
-        "ise_lp_lu_ft_updates_total {}\n",
-        snap.lp_lu_ft_updates
-    ));
-    out.push_str(
-        "# HELP ise_lp_lu_triangular_solves_total FTRAN/BTRAN solves by kernel path\n\
-         # TYPE ise_lp_lu_triangular_solves_total counter\n",
-    );
-    for (path, value) in [
-        ("sparse", snap.lp_lu_sparse_solves),
-        ("dense", snap.lp_lu_dense_solves),
-    ] {
-        out.push_str(&format!(
-            "ise_lp_lu_triangular_solves_total{{path=\"{path}\"}} {value}\n"
-        ));
-    }
-    out.push_str(
-        "# HELP ise_lp_residual Worst relative LP residual per solve\n\
-         # TYPE ise_lp_residual histogram\n",
-    );
+}
+
+/// Cumulative `_bucket{le="..."}` series for each finite bound, then the
+/// `+Inf` bucket, `_sum` and `_count`.
+fn write_histogram(
+    out: &mut String,
+    name: &str,
+    bounds: impl Iterator<Item = impl Display>,
+    buckets: &[u64],
+    count: u64,
+    sum: impl Display,
+) {
     let mut cumulative = 0u64;
-    for (i, &bound) in RESIDUAL_BOUNDS.iter().enumerate() {
-        cumulative += snap.lp_residual.buckets.get(i).copied().unwrap_or(0);
-        out.push_str(&format!(
-            "ise_lp_residual_bucket{{le=\"{bound:e}\"}} {cumulative}\n"
-        ));
-    }
-    out.push_str(&format!(
-        "ise_lp_residual_bucket{{le=\"+Inf\"}} {count}\nise_lp_residual_sum {sum:e}\nise_lp_residual_count {count}\n",
-        count = snap.lp_residual.count,
-        sum = snap.lp_residual.sum
-    ));
-    let gauges: [(&str, &str, u64); 3] = [
-        (
-            "cache_evictions",
-            "Cache entries evicted by LRU capacity pressure",
-            snap.cache_evictions,
-        ),
-        (
-            "basis_cache_entries",
-            "Live warm-start bases in the basis cache",
-            snap.basis_cache_entries,
-        ),
-        (
-            "sessions_open",
-            "Currently open incremental sessions",
-            snap.sessions_open,
-        ),
-    ];
-    for (name, help, value) in gauges {
-        out.push_str(&format!(
-            "# HELP ise_{name} {help}\n# TYPE ise_{name} gauge\nise_{name} {value}\n"
-        ));
-    }
-    let histograms: [(&str, &str, &HistogramSnapshot); 3] = [
-        (
-            "queue_wait_us",
-            "Queue wait before a worker pickup",
-            &snap.queue_wait,
-        ),
-        (
-            "solve_time_us",
-            "Solver latency (cache misses only)",
-            &snap.solve_time,
-        ),
-        (
-            "serialize_time_us",
-            "Response serialization latency",
-            &snap.serialize_time,
-        ),
-    ];
-    for (name, help, h) in histograms {
-        push_histogram(&mut out, name, help, h);
-    }
-    out
-}
-
-fn push_histogram(out: &mut String, name: &str, help: &str, h: &HistogramSnapshot) {
-    out.push_str(&format!(
-        "# HELP ise_{name} {help}\n# TYPE ise_{name} histogram\n"
-    ));
-    let mut cumulative = 0u64;
-    for (i, &c) in h.buckets.iter().enumerate() {
+    for (le, c) in bounds.zip(buckets) {
         cumulative += c;
-        out.push_str(&format!(
-            "ise_{name}_bucket{{le=\"{}\"}} {cumulative}\n",
-            bucket_upper_us(i)
-        ));
+        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
     }
-    out.push_str(&format!(
-        "ise_{name}_bucket{{le=\"+Inf\"}} {count}\nise_{name}_sum {sum}\nise_{name}_count {count}\n",
-        count = h.count,
-        sum = h.sum_us
-    ));
+    let _ = writeln!(
+        out,
+        "{name}_bucket{{le=\"+Inf\"}} {count}\n{name}_sum {sum}\n{name}_count {count}"
+    );
 }
 
-/// [`prometheus_text`] plus the TCP-frontend series: connection counters
-/// and gauges, byte counters, shed/oversize/idle-timeout counters, and
-/// the per-connection write-queue-wait histogram.
-pub fn prometheus_text_with_net(snap: &MetricsSnapshot, net: &NetMetricsSnapshot) -> String {
-    let mut out = prometheus_text(snap);
-    let counters: [(&str, &str, u64); 7] = [
-        (
-            "connections_total",
-            "Connections accepted, including shed ones",
-            net.connections_total,
-        ),
-        (
-            "shed_total",
-            "Connections refused at accept time",
-            net.shed_total,
-        ),
-        ("bytes_in_total", "Bytes read from clients", net.bytes_in),
-        ("bytes_out_total", "Bytes written to clients", net.bytes_out),
-        (
-            "oversize_lines_total",
-            "Lines rejected for exceeding the maximum length",
-            net.oversize_lines,
-        ),
-        (
-            "idle_timeouts_total",
-            "Connections closed by the read idle timeout",
-            net.idle_timeouts,
-        ),
-        (
-            "net_responses_total",
-            "Responses written across all connections",
-            net.responses_total,
-        ),
-    ];
-    for (name, help, value) in counters {
-        out.push_str(&format!(
-            "# HELP ise_{name} {help}\n# TYPE ise_{name} counter\nise_{name} {value}\n"
-        ));
+/// Declare a live metrics struct and its snapshot from one list, one line
+/// per metric:
+///
+/// ```text
+/// field: LiveType => "prometheus_name" {label = "value"}, kind, "help";
+/// ```
+///
+/// The label is optional; `kind` is the Prometheus type. Generates the
+/// live struct, the snapshot struct (same field names, same order), the
+/// live struct's `snapshot()`, and the snapshot's Prometheus writer, which
+/// emits a family header only where the name changes from the line above.
+macro_rules! metrics {
+    (
+        $(#[$live_meta:meta])* $live:ident,
+        $(#[$snap_meta:meta])* $snap:ident {
+            $($field:ident: $ty:ty => $name:literal $({$lk:ident = $lv:literal})?,
+                $kind:ident, $help:literal;)*
+        }
+    ) => {
+        $(#[$live_meta])*
+        #[derive(Default)]
+        pub struct $live {
+            $(#[doc = $help] pub $field: $ty,)*
+        }
+
+        impl $live {
+            /// A consistent-enough copy of every metric for reporting.
+            pub fn snapshot(&self) -> $snap {
+                $snap {
+                    $($field: self.$field.read(),)*
+                }
+            }
+        }
+
+        $(#[$snap_meta])*
+        #[derive(Clone, Debug, Serialize)]
+        pub struct $snap {
+            $(#[doc = $help] pub $field: <$ty as Live>::Snapshot,)*
+        }
+
+        impl $snap {
+            fn write_prometheus(&self, out: &mut String) {
+                let mut family = "";
+                $(
+                    if family != $name {
+                        family = $name;
+                        let _ = writeln!(
+                            out,
+                            "# HELP {family} {}\n# TYPE {family} {}",
+                            $help,
+                            stringify!($kind)
+                        );
+                    }
+                    let label = concat!("" $(, "{", stringify!($lk), "=\"", $lv, "\"}")?);
+                    self.$field.write_samples(out, family, label);
+                )*
+            }
+        }
+    };
+}
+
+metrics! {
+    /// Live counters shared by all engine workers. The engine-state gauges
+    /// (`cache_evictions`, `basis_cache_entries`, `sessions_open`) are
+    /// sampled by `Engine::metrics`.
+    EngineMetrics,
+    /// Serializable engine metrics (see [`EngineMetrics`]).
+    MetricsSnapshot {
+        requests: AtomicU64 => "ise_requests_total", counter, "Requests accepted into the queue";
+        rejected: AtomicU64 => "ise_rejected_total", counter, "Requests refused by backpressure";
+        completed: AtomicU64 => "ise_completed_total", counter, "Responses produced";
+        cache_hits: AtomicU64 => "ise_cache_hits_total", counter, "Responses served from the result cache";
+        cache_misses: AtomicU64 => "ise_cache_misses_total", counter, "Requests that went to the solver";
+        basis_hits: AtomicU64 => "ise_basis_hits_total", counter, "Solves warm-started from a cached basis";
+        basis_misses: AtomicU64 => "ise_basis_misses_total", counter, "Solves that started the LP cold";
+        timeouts: AtomicU64 => "ise_timeouts_total", counter, "Solves cancelled at their deadline";
+        fallbacks: AtomicU64 => "ise_fallbacks_total", counter, "Timed-out solves rescued by the greedy fallback";
+        errors: AtomicU64 => "ise_errors_total", counter, "Error responses";
+        session_reuse_basis: AtomicU64 => "ise_session_reuse_total" {tier = "basis"}, counter, "Session commits by reuse tier";
+        session_reuse_warm: AtomicU64 => "ise_session_reuse_total" {tier = "warm"}, counter, "Session commits by reuse tier";
+        session_reuse_cold: AtomicU64 => "ise_session_reuse_total" {tier = "cold"}, counter, "Session commits by reuse tier";
+        lp_recoveries_refactor: AtomicU64 => "ise_lp_recoveries_total" {rung = "refactor"}, counter, "LP numerical recoveries by ladder rung";
+        lp_recoveries_tighten: AtomicU64 => "ise_lp_recoveries_total" {rung = "tighten"}, counter, "LP numerical recoveries by ladder rung";
+        lp_recoveries_dantzig: AtomicU64 => "ise_lp_recoveries_total" {rung = "dantzig"}, counter, "LP numerical recoveries by ladder rung";
+        lp_recoveries_eta: AtomicU64 => "ise_lp_recoveries_total" {rung = "eta"}, counter, "LP numerical recoveries by ladder rung";
+        lp_recoveries_dense: AtomicU64 => "ise_lp_recoveries_total" {rung = "dense"}, counter, "LP numerical recoveries by ladder rung";
+        lp_lu_fill_nnz: AtomicU64 => "ise_lp_lu_fill_nnz", gauge, "Worst LU fill-in (stored L+U nonzeros) seen across solves";
+        lp_lu_ft_updates: AtomicU64 => "ise_lp_lu_ft_updates_total", counter, "Forrest-Tomlin pivot updates applied";
+        lp_lu_sparse_solves: AtomicU64 => "ise_lp_lu_triangular_solves_total" {path = "sparse"}, counter, "FTRAN/BTRAN solves by kernel path";
+        lp_lu_dense_solves: AtomicU64 => "ise_lp_lu_triangular_solves_total" {path = "dense"}, counter, "FTRAN/BTRAN solves by kernel path";
+        lp_residual: ResidualHistogram => "ise_lp_residual", histogram, "Worst relative LP residual per solve";
+        cache_evictions: AtomicU64 => "ise_cache_evictions", gauge, "Cache entries evicted by LRU capacity pressure";
+        basis_cache_entries: AtomicU64 => "ise_basis_cache_entries", gauge, "Live warm-start bases in the basis cache";
+        sessions_open: AtomicU64 => "ise_sessions_open", gauge, "Currently open incremental sessions";
+        queue_wait: LatencyHistogram => "ise_queue_wait_us", histogram, "Queue wait before a worker pickup";
+        solve_time: LatencyHistogram => "ise_solve_time_us", histogram, "Solver latency (cache misses only)";
+        serialize_time: LatencyHistogram => "ise_serialize_time_us", histogram, "Response serialization latency";
     }
-    out.push_str(&format!(
-        "# HELP ise_connections_open Currently open connections\n\
-         # TYPE ise_connections_open gauge\nise_connections_open {}\n",
-        net.connections_open
-    ));
-    push_histogram(
-        &mut out,
-        "net_queue_wait_us",
-        "Response wait in the per-connection write queue",
-        &net.write_queue_wait,
-    );
+}
+
+metrics! {
+    /// Live counters for the TCP frontend (`ise serve --listen`), shared by
+    /// the acceptor and every connection thread.
+    NetMetrics,
+    /// Serializable TCP-frontend metrics (see [`NetMetrics`]).
+    NetMetricsSnapshot {
+        connections_total: AtomicU64 => "ise_connections_total", counter, "Connections accepted, including shed ones";
+        connections_open: AtomicU64 => "ise_connections_open", gauge, "Currently open connections";
+        shed_total: AtomicU64 => "ise_shed_total", counter, "Connections refused at accept time";
+        bytes_in: AtomicU64 => "ise_bytes_in_total", counter, "Bytes read from clients";
+        bytes_out: AtomicU64 => "ise_bytes_out_total", counter, "Bytes written to clients";
+        oversize_lines: AtomicU64 => "ise_oversize_lines_total", counter, "Lines rejected for exceeding the maximum length";
+        idle_timeouts: AtomicU64 => "ise_idle_timeouts_total", counter, "Connections closed by the read idle timeout";
+        responses_total: AtomicU64 => "ise_net_responses_total", counter, "Responses written across all connections";
+        write_queue_wait: LatencyHistogram => "ise_net_queue_wait_us", histogram, "Response wait in the per-connection write queue";
+    }
+}
+
+/// Render the engine metrics, plus the TCP-frontend series when `net` is
+/// given, in the Prometheus text exposition format: one family per
+/// declared metric or labelled group, histograms as cumulative
+/// `_bucket{le="..."}` series with `_sum` and `_count`.
+pub fn prometheus_text(engine: &MetricsSnapshot, net: Option<&NetMetricsSnapshot>) -> String {
+    let mut out = String::new();
+    engine.write_prometheus(&mut out);
+    if let Some(net) = net {
+        net.write_prometheus(&mut out);
+    }
     out
 }
 
@@ -680,7 +421,7 @@ mod tests {
     #[test]
     fn snapshot_serializes_to_json() {
         let m = EngineMetrics::default();
-        EngineMetrics::inc(&m.requests);
+        inc(&m.requests);
         m.queue_wait.record(Duration::from_micros(5));
         let json = serde_json::to_string(&m.snapshot()).unwrap();
         assert!(json.contains("\"requests\":1"), "{json}");
@@ -733,12 +474,12 @@ mod tests {
     fn prometheus_net_series_are_well_formed() {
         let m = EngineMetrics::default();
         let net = NetMetrics::default();
-        NetMetrics::inc_counter(&net.connections_total);
-        NetMetrics::inc_counter(&net.shed_total);
+        inc(&net.connections_total);
+        inc(&net.shed_total);
         net.bytes_in.fetch_add(512, Ordering::Relaxed);
         net.bytes_out.fetch_add(2048, Ordering::Relaxed);
         net.write_queue_wait.record(Duration::from_micros(33));
-        let text = prometheus_text_with_net(&m.snapshot(), &net.snapshot());
+        let text = prometheus_text(&m.snapshot(), Some(&net.snapshot()));
         for family in [
             "# TYPE ise_connections_total counter",
             "# TYPE ise_connections_open gauge",
@@ -773,12 +514,12 @@ mod tests {
     #[test]
     fn prometheus_text_is_well_formed() {
         let m = EngineMetrics::default();
-        EngineMetrics::inc(&m.requests);
-        EngineMetrics::inc(&m.completed);
+        inc(&m.requests);
+        inc(&m.completed);
         m.queue_wait.record(Duration::from_micros(5));
         m.solve_time.record(Duration::from_micros(900));
         m.serialize_time.record(Duration::from_micros(12));
-        let text = prometheus_text(&m.snapshot());
+        let text = prometheus_text(&m.snapshot(), None);
         assert!(text.contains("# TYPE ise_requests_total counter"), "{text}");
         assert!(text.contains("ise_requests_total 1"), "{text}");
         assert!(
@@ -841,9 +582,9 @@ mod tests {
         m.lp_residual.record(1e-7);
         m.lp_residual.record(0.5);
         m.lp_residual.record(f64::INFINITY); // clamps into +Inf bucket
-        EngineMetrics::inc(&m.lp_recoveries_refactor);
-        EngineMetrics::inc(&m.lp_recoveries_eta);
-        EngineMetrics::inc(&m.lp_recoveries_dense);
+        inc(&m.lp_recoveries_refactor);
+        inc(&m.lp_recoveries_eta);
+        inc(&m.lp_recoveries_dense);
         m.lp_lu_fill_nnz.fetch_max(321, Ordering::Relaxed);
         m.lp_lu_ft_updates.fetch_add(7, Ordering::Relaxed);
         m.lp_lu_sparse_solves.fetch_add(9, Ordering::Relaxed);
@@ -851,7 +592,7 @@ mod tests {
         let snap = m.snapshot();
         assert_eq!(snap.lp_residual.count, 4);
         assert!(snap.lp_residual.sum >= 0.5);
-        let text = prometheus_text(&snap);
+        let text = prometheus_text(&snap, None);
         assert!(
             text.contains("ise_lp_recoveries_total{rung=\"refactor\"} 1"),
             "{text}"

@@ -30,15 +30,16 @@
 //!   closes, so late connects are refused by the OS — wakes every
 //!   reader, drains all in-flight requests in order, flushes, and joins.
 //!
-//! Metrics (engine + net series) are written periodically and at exit to
-//! [`ServeOptions::metrics_out`] in the Prometheus text format; per-phase
+//! Metrics (engine + net series) are written at startup, periodically and
+//! at exit to [`ServeOptions::metrics_out`] in the Prometheus text format;
+//! an unwritable path fails [`NetServer::bind`]. Per-phase
 //! span timings (`net.read` / `net.write` / session solves) are merged
 //! across connections into [`NetSummary::phases`].
 
-use crate::engine::{Engine, EngineConfig};
-use crate::metrics::{prometheus_text_with_net, MetricsSnapshot, NetMetrics, NetMetricsSnapshot};
+use crate::engine::{status, Engine, EngineConfig, EngineResponse};
+use crate::metrics::{inc, MetricsSnapshot, NetMetrics, NetMetricsSnapshot};
 use crate::serve::{
-    immediate_response, serve_lines, LoopExit, ServeOptions, StreamScope, FALLBACK_ID_BASE,
+    serve_lines, write_metrics, LoopExit, ServeOptions, StreamScope, FALLBACK_ID_BASE,
 };
 use ise_obs::{PhaseTimings, Trace};
 use std::collections::HashMap;
@@ -114,13 +115,6 @@ impl NetShared {
             let _ = stream.shutdown(Shutdown::Read);
         }
     }
-
-    fn write_metrics(&self) {
-        if let Some(path) = &self.opts.serve.metrics_out {
-            let text = prometheus_text_with_net(&self.engine.metrics(), &self.net.snapshot());
-            let _ = std::fs::write(path, text);
-        }
-    }
 }
 
 /// Counts bytes off the wire into `NetMetrics::bytes_in` and enforces
@@ -188,7 +182,9 @@ pub struct NetServer {
 impl NetServer {
     /// Bind `addr` (port 0 picks an ephemeral port — see
     /// [`NetServer::local_addr`]) and start accepting connections against
-    /// a fresh engine built from `config`.
+    /// a fresh engine built from `config`. With
+    /// [`ServeOptions::metrics_out`] set, the metrics file is written once
+    /// before accepting, so an unwritable path fails here, naming it.
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
         config: EngineConfig,
@@ -207,6 +203,7 @@ impl NetServer {
             next_conn: AtomicU64::new(1),
             phases: Mutex::new(PhaseTimings::default()),
         });
+        write_metrics(&shared.engine, Some(&shared.net), &shared.opts.serve)?;
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -265,14 +262,17 @@ impl NetServer {
                 let _ = h.join();
             }
         }
-        self.shared.write_metrics();
-        let net = self.shared.net.snapshot();
+        let shared = &self.shared;
+        // `bind` proved the path writable; a later failure (a full disk,
+        // say) loses a refresh, not the run.
+        let _ = write_metrics(&shared.engine, Some(&shared.net), &shared.opts.serve);
+        let net = shared.net.snapshot();
         NetSummary {
             connections: net.connections_total,
             responses: net.responses_total,
-            metrics: self.shared.engine.metrics(),
+            metrics: shared.engine.metrics(),
             net,
-            phases: self.shared.phases.lock().expect("phases lock").clone(),
+            phases: shared.phases.lock().expect("phases lock").clone(),
         }
     }
 }
@@ -301,7 +301,7 @@ fn accept_loop(listener: TcpListener, shared: &Arc<NetShared>) {
         }
         reap_finished(shared);
         if last_metrics.elapsed() >= shared.opts.serve.metrics_interval {
-            shared.write_metrics();
+            let _ = write_metrics(&shared.engine, Some(&shared.net), &shared.opts.serve);
             last_metrics = Instant::now();
         }
     }
@@ -333,14 +333,17 @@ fn reap_finished(shared: &NetShared) {
 /// Best-effort single-response write used outside the serve loop
 /// (shedding, drain refusals, idle-timeout notices).
 fn write_notice(stream: &mut dyn Write, message: String) {
-    let response = immediate_response(FALLBACK_ID_BASE, message);
+    let response = EngineResponse {
+        error: Some(message),
+        ..EngineResponse::new(FALLBACK_ID_BASE, status::ERROR)
+    };
     let json = serde_json::to_string(&response).expect("response serialization is infallible");
     let _ = writeln!(stream, "{json}");
     let _ = stream.flush();
 }
 
 fn handle_accept(mut stream: TcpStream, shared: &Arc<NetShared>) {
-    NetMetrics::inc_counter(&shared.net.connections_total);
+    inc(&shared.net.connections_total);
     if shared.draining.load(Ordering::SeqCst) {
         write_notice(
             &mut stream,
@@ -349,7 +352,7 @@ fn handle_accept(mut stream: TcpStream, shared: &Arc<NetShared>) {
         return;
     }
     if shared.net.connections_open.load(Ordering::SeqCst) >= shared.opts.max_connections as u64 {
-        NetMetrics::inc_counter(&shared.net.shed_total);
+        inc(&shared.net.shed_total);
         write_notice(
             &mut stream,
             format!(
@@ -424,7 +427,7 @@ fn serve_connection(reader: TcpStream, writer: TcpStream, conn_id: u64, shared: 
         match result {
             Ok((LoopExit::Shutdown, _)) => shared.begin_drain(),
             Ok((LoopExit::IdleTimeout, _)) => {
-                NetMetrics::inc_counter(&shared.net.idle_timeouts);
+                inc(&shared.net.idle_timeouts);
                 write_notice(
                     &mut writer,
                     format!(

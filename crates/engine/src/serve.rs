@@ -55,9 +55,9 @@
 use crate::engine::{
     status, Engine, EngineConfig, EngineRequest, EngineResponse, ResponseSlot, GLOBAL_SCOPE,
 };
-use crate::metrics::{prometheus_text, MetricsSnapshot, NetMetrics};
+use crate::metrics::{inc, prometheus_text, MetricsSnapshot, NetMetrics};
 use std::io::{BufRead, ErrorKind, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::{Duration, Instant};
 
@@ -140,24 +140,11 @@ pub struct ServeSummary {
     pub metrics: MetricsSnapshot,
 }
 
-pub(crate) fn immediate_response(id: u64, message: String) -> EngineResponse {
-    EngineResponse {
-        id,
-        status: status::ERROR.to_string(),
-        cached: false,
-        timed_out: false,
-        calibrations: None,
-        schedule: None,
-        error: Some(message),
-        solve_us: 0,
-        lp: None,
-        phases: None,
-        session: None,
-    }
-}
-
 fn immediate_error(id: u64, message: String) -> Pending {
-    Pending::Immediate(Box::new(immediate_response(id, message)))
+    Pending::Immediate(Box::new(EngineResponse {
+        error: Some(message),
+        ..EngineResponse::new(id, status::ERROR)
+    }))
 }
 
 /// One line's worth of outcome from a bounded read.
@@ -247,8 +234,19 @@ fn finish_line(mut buf: Vec<u8>) -> LineRead {
     LineRead::Line(String::from_utf8_lossy(&buf).into_owned())
 }
 
-fn write_metrics_file(engine: &Engine, path: &Path) -> std::io::Result<()> {
-    std::fs::write(path, prometheus_text(&engine.metrics())).map_err(|e| {
+/// Write the engine metrics, plus the TCP-frontend series when `net` is
+/// given, to `opts.metrics_out` (if set) in the Prometheus text format.
+/// An error names the path.
+pub(crate) fn write_metrics(
+    engine: &Engine,
+    net: Option<&NetMetrics>,
+    opts: &ServeOptions,
+) -> std::io::Result<()> {
+    let Some(path) = &opts.metrics_out else {
+        return Ok(());
+    };
+    let text = prometheus_text(&engine.metrics(), net.map(NetMetrics::snapshot).as_ref());
+    std::fs::write(path, text).map_err(|e| {
         std::io::Error::new(
             e.kind(),
             format!("writing metrics to {}: {e}", path.display()),
@@ -311,9 +309,7 @@ fn parse_line(engine: &Engine, scope: u64, line: &str, lineno: usize) -> ParsedL
                     .unwrap_or(fallback_id);
                 return match cmd {
                     "shutdown" => {
-                        let mut ack = immediate_response(id, String::new());
-                        ack.status = status::OK.to_string();
-                        ack.error = None;
+                        let ack = EngineResponse::new(id, status::OK);
                         ParsedLine::Shutdown(Pending::Immediate(Box::new(ack)))
                     }
                     other => ParsedLine::Entry(immediate_error(
@@ -387,7 +383,7 @@ fn read_requests<R: BufRead>(
             Ok(LineRead::Eof) => return Ok(LoopExit::Eof),
             Ok(LineRead::TooLong) => {
                 if let Some(net) = ctx.net {
-                    NetMetrics::inc_counter(&net.oversize_lines);
+                    inc(&net.oversize_lines);
                 }
                 immediate_error(
                     FALLBACK_ID_BASE + this_line as u64,
@@ -418,13 +414,9 @@ fn read_requests<R: BufRead>(
         // Periodic metrics are per-process state: the file/stdin path
         // writes them here; the TCP frontend's acceptor owns them instead
         // (it folds in the net series).
-        if ctx.net.is_none() {
-            if let Some(path) = &opts.metrics_out {
-                if last_metrics.elapsed() >= opts.metrics_interval {
-                    write_metrics_file(engine, path)?;
-                    last_metrics = Instant::now();
-                }
-            }
+        if ctx.net.is_none() && last_metrics.elapsed() >= opts.metrics_interval {
+            write_metrics(engine, None, opts)?;
+            last_metrics = Instant::now();
         }
     }
 }
@@ -444,7 +436,7 @@ fn write_responses<W: Write>(
         let _span = ise_obs::Span::enter("net.write");
         if let Some(net) = net {
             net.write_queue_wait.record(entry.queued.elapsed());
-            NetMetrics::inc_counter(&net.responses_total);
+            inc(&net.responses_total);
         }
         let started = Instant::now();
         let json = serde_json::to_string(&response).expect("response serialization is infallible");
@@ -517,9 +509,7 @@ pub fn serve_with<R: BufRead, W: Write + Send>(
     let engine = Engine::new(config);
     let (_, responses) = serve_lines(&engine, &mut input, output, opts, &StreamScope::global())?;
     let metrics = engine.metrics();
-    if let Some(path) = &opts.metrics_out {
-        write_metrics_file(&engine, path)?;
-    }
+    write_metrics(&engine, None, opts)?;
     Ok(ServeSummary { responses, metrics })
 }
 
@@ -574,6 +564,57 @@ mod tests {
         assert_eq!(summary.metrics.errors, 0);
         assert_eq!(summary.metrics.completed, 2);
         assert!(summary.metrics.serialize_time.count >= 3);
+    }
+
+    #[test]
+    fn invalid_instances_get_inline_errors_and_the_stream_goes_on() {
+        // Each line breaks one `Instance` invariant. Unvalidated, the first
+        // two panicked the only worker and hung the stream; the others were
+        // answered with solver failures or an `ok` schedule.
+        // (job id, (release, deadline, proc), machines, calib_len, error)
+        let bad = [
+            (0, (0, 30, 4), 0, 10, "at least one machine"),
+            (0, (0, 5, 8), 1, 10, "window cannot fit"),
+            (0, (0, 30, 4), 1, 0, "T must be positive"),
+            (0, (0, 30, 4), 1, -10, "T must be positive"),
+            (0, (0, 30, 15), 1, 10, "exceeds calibration length"),
+            (0, (0, 30, 0), 1, 10, "processing time must be positive"),
+            (5, (0, 30, 4), 1, 10, "position 0 has id 5"),
+        ];
+        let mut input = String::new();
+        for (i, (job, (r, d, p), m, t, _)) in bad.iter().enumerate() {
+            input += &format!(
+                "{{\"id\": {i}, \"instance\": {{\"jobs\": [{{\"id\": {job}, \"release\": {r}, \
+                 \"deadline\": {d}, \"proc\": {p}}}], \"machines\": {m}, \"calib_len\": {t}}}}}\n"
+            );
+        }
+        input += &request_line(7, 4);
+        let (done, answered) = channel();
+        std::thread::spawn(move || {
+            let mut out = Vec::new();
+            let config = EngineConfig {
+                workers: 1,
+                ..EngineConfig::default()
+            };
+            serve(input.as_bytes(), &mut out, config).unwrap();
+            let _ = done.send(out);
+        });
+        let out = answered
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the stream must not hang");
+        let lines: Vec<serde_json::Value> = std::str::from_utf8(&out)
+            .unwrap()
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        assert_eq!(lines.len(), 8);
+        for (line, want) in lines.iter().zip(bad.map(|b| b.4)) {
+            assert_eq!(line["status"].as_str(), Some("error"), "{line:?}");
+            let error = line["error"].as_str().unwrap();
+            assert!(error.contains(want), "{error} lacks {want}");
+        }
+        assert_eq!(lines[7]["id"].as_u64(), Some(7));
+        assert_eq!(lines[7]["status"].as_str(), Some("ok"));
     }
 
     #[test]

@@ -33,6 +33,13 @@ pub enum ModelError {
         /// Offending job index.
         job: usize,
     },
+    /// A deserialized job's id differs from its position in the job list.
+    JobIdMismatch {
+        /// Position of the job in the list.
+        position: usize,
+        /// The id it carries.
+        id: u32,
+    },
     /// A time value's magnitude exceeds
     /// [`MAX_INSTANCE_TICKS`](crate::MAX_INSTANCE_TICKS): downstream
     /// arithmetic (the Lemma 13 speed transform refines ticks by up to 36)
@@ -67,6 +74,10 @@ impl fmt::Display for ModelError {
             ModelError::WindowTooSmall { job } => {
                 write!(f, "job {job}: window cannot fit processing time")
             }
+            ModelError::JobIdMismatch { position, id } => write!(
+                f,
+                "job at position {position} has id {id}; job ids must equal their positions"
+            ),
             ModelError::HorizonOverflow { job, ticks } => match job {
                 Some(job) => write!(
                     f,

@@ -9,15 +9,46 @@ use serde::{Deserialize, Serialize};
 /// `m`, and a calibration length `T`. In standard scheduling notation this is
 /// `P | r_j, d_j | #calibrations`.
 ///
-/// Invariants (enforced by [`Instance::new`] / [`InstanceBuilder`]):
+/// Invariants (enforced by [`Instance::new`] / [`InstanceBuilder`], and so
+/// by deserialization, which goes through the builder):
 /// * `T > 0`, `m > 0`;
 /// * for every job: `p_j > 0`, `p_j <= T`, and `r_j + p_j <= d_j`;
-/// * job ids equal their index in [`Instance::jobs`].
+/// * job ids equal their index in [`Instance::jobs`];
+/// * every time value lies within [`MAX_INSTANCE_TICKS`](crate::MAX_INSTANCE_TICKS).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(try_from = "InstanceRepr")]
 pub struct Instance {
     jobs: Vec<Job>,
     machines: usize,
     calib_len: Dur,
+}
+
+/// The wire form of an [`Instance`], before validation.
+#[derive(Deserialize)]
+struct InstanceRepr {
+    jobs: Vec<Job>,
+    machines: usize,
+    calib_len: Dur,
+}
+
+impl TryFrom<InstanceRepr> for Instance {
+    type Error = ModelError;
+
+    /// Rebuild through [`InstanceBuilder`], so a deserialized instance
+    /// meets the same invariants as a constructed one.
+    fn try_from(repr: InstanceRepr) -> Result<Instance, ModelError> {
+        let mut b = InstanceBuilder::new(repr.machines, repr.calib_len.ticks());
+        for (position, job) in repr.jobs.iter().enumerate() {
+            if job.id.index() != position {
+                return Err(ModelError::JobIdMismatch {
+                    position,
+                    id: job.id.0,
+                });
+            }
+            b.push(job.release.ticks(), job.deadline.ticks(), job.proc.ticks());
+        }
+        b.build()
+    }
 }
 
 impl Instance {
@@ -376,6 +407,64 @@ mod tests {
         let json = serde_json::to_string(&inst).unwrap();
         let back: Instance = serde_json::from_str(&json).unwrap();
         assert_eq!(inst, back);
+    }
+
+    /// Deserialize an instance with one job `(id, r, d, p)`, `m` machines
+    /// and calibration length `t`.
+    fn parse_one(id: u32, (r, d, p): (i64, i64, i64), m: i64, t: i64) -> Result<Instance, String> {
+        let json = format!(
+            "{{\"jobs\": [{{\"id\": {id}, \"release\": {r}, \"deadline\": {d}, \"proc\": {p}}}], \
+             \"machines\": {m}, \"calib_len\": {t}}}"
+        );
+        serde_json::from_str(&json).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn deserialize_rejects_non_positive_calibration_length() {
+        for t in [0, -10] {
+            let err = parse_one(0, (0, 30, 4), 1, t).unwrap_err();
+            assert!(
+                err.contains("calibration length T must be positive"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn deserialize_rejects_zero_machines() {
+        let err = parse_one(0, (0, 30, 4), 0, 10).unwrap_err();
+        assert!(err.contains("at least one machine"), "{err}");
+    }
+
+    #[test]
+    fn deserialize_rejects_non_positive_processing_time() {
+        let err = parse_one(0, (0, 30, 0), 1, 10).unwrap_err();
+        assert!(err.contains("processing time must be positive"), "{err}");
+    }
+
+    #[test]
+    fn deserialize_rejects_processing_time_above_calibration_length() {
+        let err = parse_one(0, (0, 30, 15), 1, 10).unwrap_err();
+        assert!(err.contains("exceeds calibration length 10"), "{err}");
+    }
+
+    #[test]
+    fn deserialize_rejects_a_window_too_small_for_the_job() {
+        let err = parse_one(0, (0, 5, 8), 1, 10).unwrap_err();
+        assert!(err.contains("window cannot fit processing time"), "{err}");
+    }
+
+    #[test]
+    fn deserialize_rejects_ids_that_differ_from_positions() {
+        let err = parse_one(5, (0, 30, 4), 1, 10).unwrap_err();
+        assert!(err.contains("position 0 has id 5"), "{err}");
+    }
+
+    #[test]
+    fn deserialize_rejects_times_beyond_the_tick_bound() {
+        let big = crate::MAX_INSTANCE_TICKS + 1;
+        let err = parse_one(0, (0, big, 4), 1, 10).unwrap_err();
+        assert!(err.contains("exceeds the representable horizon"), "{err}");
     }
 
     #[test]

@@ -505,7 +505,8 @@ fn serve_listen(
         idle_timeout: (idle_ms > 0).then(|| Duration::from_millis(idle_ms)),
         serve: serve_opts,
     };
-    let server = NetServer::bind(addr, config, opts).map_err(|e| format!("binding {addr}: {e}"))?;
+    let server =
+        NetServer::bind(addr, config, opts).map_err(|e| format!("serving on {addr}: {e}"))?;
     eprintln!("listening on {}", server.local_addr());
     let summary = server.join();
     let metrics = ListenMetrics {

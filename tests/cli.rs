@@ -367,6 +367,41 @@ fn serve_answers_a_closed_loop_client_over_a_pipe() {
 }
 
 #[test]
+fn serve_listen_fails_fast_on_an_unwritable_metrics_path() {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let prom = tempdir().join("no-such-dir").join("metrics.prom");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ise"))
+        .args(["serve", "--listen", "127.0.0.1:0", "--metrics-out"])
+        .arg(&prom)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ise serve --listen");
+    let started = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll ise serve") {
+            break Some(status);
+        }
+        if started.elapsed() > Duration::from_secs(10) {
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    if status.is_none() {
+        let _ = child.kill();
+    }
+    let out = child.wait_with_output().expect("collect stderr");
+    let err = String::from_utf8_lossy(&out.stderr);
+    let status = status.expect("server kept running with an unwritable --metrics-out");
+    assert!(!status.success());
+    assert!(
+        err.contains(&format!("writing metrics to {}", prom.display())),
+        "{err}"
+    );
+}
+
+#[test]
 fn serve_listen_flag_validation_is_strict() {
     // Network-only flags demand --listen.
     let (ok, _, err) = ise(&["serve", "--max-connections", "4"]);
