@@ -78,7 +78,7 @@ fn bench_ftran(c: &mut Criterion) {
             let id = BenchmarkId::new(format!("{kind:?}").to_lowercase(), format!("{pct}pct"));
             group.bench_with_input(id, &col, |bench, col| {
                 bench.iter(|| {
-                    f.ftran_col_into(M, col, &mut out, &mut 0);
+                    f.ftran_col_into(M, col, &mut out);
                     out.nnz()
                 })
             });
@@ -101,7 +101,7 @@ fn bench_btran(c: &mut Criterion) {
             let id = BenchmarkId::new(format!("{kind:?}").to_lowercase(), format!("{pct}pct"));
             group.bench_with_input(id, &y, |bench, y| {
                 bench.iter(|| {
-                    f.btran_into(M, y, &mut out, &mut 0);
+                    f.btran_into(M, y, &mut out);
                     out.nnz()
                 })
             });
@@ -122,7 +122,7 @@ fn bench_update(c: &mut Criterion) {
         // well-conditioned (and the update accepted) across iterations.
         let probe = vec![(0, 10.0), (17, 1.0), (93, -2.0), (241, 0.5)];
         bench.iter(|| {
-            f.ftran_col_into(M, &probe, &mut w, &mut 0);
+            f.ftran_col_into(M, &probe, &mut w);
             f.update(0, &w)
         })
     });

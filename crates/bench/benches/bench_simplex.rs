@@ -1,6 +1,6 @@
 //! Criterion bench: the LP hot path in isolation — LU versus eta-file
 //! versus dense-inverse factorization, devex versus Dantzig pricing, and
-//! cold versus warm-started solves (with and without a shared workspace).
+//! cold versus warm-started solves.
 //! The `ise bench` CLI suite (`BENCH_lp.json`) is the pinned regression
 //! gate; this bench is for interactive profiling of the same
 //! configurations.
@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ise_bench::perf::{suite, DENSE_COL_CAP};
 use ise_sched::lp::{build, solve_lp_warm};
-use ise_simplex::{Factorization, Pricing, SolveOptions, WorkspaceHandle};
+use ise_simplex::{Factorization, Pricing, SolveOptions};
 
 fn bench_cold(c: &mut Criterion) {
     let mut group = c.benchmark_group("tise_lp_cold");
@@ -49,9 +49,7 @@ fn bench_warm(c: &mut Criterion) {
         let budget = 3 * instance.machines();
         // Basis from the cold solve; the benched solves re-target the same
         // LP at budget + 1 (an rhs-only perturbation) so phase 1 is
-        // skipped. Each pricing rule also runs with a shared workspace —
-        // the steady-state serving configuration with allocation-free
-        // iterations.
+        // skipped.
         let cold = solve_lp_warm(
             &build(&jobs, instance.calib_len(), budget),
             &SolveOptions::default(),
@@ -60,15 +58,9 @@ fn bench_warm(c: &mut Criterion) {
         .unwrap();
         let basis = cold.basis.expect("optimal solve carries a basis");
         let perturbed = build(&jobs, instance.calib_len(), budget + 1);
-        for (path, pricing, shared) in [
-            ("devex", Pricing::Devex, false),
-            ("devex_ws", Pricing::Devex, true),
-            ("dantzig", Pricing::Dantzig, false),
-            ("dantzig_ws", Pricing::Dantzig, true),
-        ] {
+        for (path, pricing) in [("devex", Pricing::Devex), ("dantzig", Pricing::Dantzig)] {
             let opts = SolveOptions {
                 pricing,
-                workspace: shared.then(WorkspaceHandle::new),
                 ..SolveOptions::default()
             };
             group.bench_with_input(BenchmarkId::new(path, &spec.name), &perturbed, |b, tise| {

@@ -245,28 +245,24 @@ pub fn relax_and_solve(
     machine_budget: usize,
     opts: &SolveOptions,
 ) -> Result<FractionalSolution, SchedError> {
-    relax_and_solve_cancellable(jobs, calib_len, machine_budget, opts, &CancelToken::new())
+    relax_and_solve_warm(
+        jobs,
+        calib_len,
+        machine_budget,
+        opts,
+        &CancelToken::new(),
+        None,
+    )
 }
 
-/// [`relax_and_solve`] with a cooperative cancellation hook: the token is
-/// polled before the (potentially large) LP is built and also wired into
-/// the simplex pivot loop (via [`CancelToken::interrupt_handle`]), so a
-/// deadline aborts a solve mid-iteration.
-pub fn relax_and_solve_cancellable(
-    jobs: &[Job],
-    calib_len: Dur,
-    machine_budget: usize,
-    opts: &SolveOptions,
-    cancel: &CancelToken,
-) -> Result<FractionalSolution, SchedError> {
-    relax_and_solve_warm(jobs, calib_len, machine_budget, opts, cancel, None)
-}
-
-/// The full-featured entry point: cancellable and warm-startable. The warm
-/// basis must come from a previous solve of the **same jobs and calibration
-/// length** — the machine budget may differ (it only changes the LP's
-/// right-hand side, and presolve's row structure is rhs-independent, so the
-/// basis carries over and phase 1 is skipped).
+/// The full-featured entry point: cancellable and warm-startable. The
+/// token is polled before the (potentially large) LP is built and also
+/// wired into the simplex pivot loop (via
+/// [`CancelToken::interrupt_handle`]), so a deadline aborts a solve
+/// mid-iteration. The warm basis must come from a previous solve of the
+/// **same jobs and calibration length** — the machine budget may differ
+/// (it only changes the LP's right-hand side, and presolve's row structure
+/// is rhs-independent, so the basis carries over and phase 1 is skipped).
 pub fn relax_and_solve_warm(
     jobs: &[Job],
     calib_len: Dur,
@@ -299,31 +295,6 @@ pub fn relax_and_solve_warm(
     let mut sol = solve_lp_warm(&tise, &lp_opts, warm)?;
     sol.build_us = build_us;
     Ok(sol)
-}
-
-/// Delta-aware convenience for incremental re-solves (`ise::session`): like
-/// [`relax_and_solve_warm`], but taking the whole previous
-/// [`FractionalSolution`] and extracting its optimal basis as the warm
-/// start. Callers hold on to the prior solution across instance edits; a
-/// basis that no longer matches the new LP's structure (the job set or
-/// calibration points changed shape) is silently ignored and the solve
-/// falls back cold.
-pub fn relax_and_solve_delta(
-    jobs: &[Job],
-    calib_len: Dur,
-    machine_budget: usize,
-    opts: &SolveOptions,
-    cancel: &CancelToken,
-    prior: Option<&FractionalSolution>,
-) -> Result<FractionalSolution, SchedError> {
-    relax_and_solve_warm(
-        jobs,
-        calib_len,
-        machine_budget,
-        opts,
-        cancel,
-        prior.and_then(|p| p.basis.as_ref()),
-    )
 }
 
 /// Rough estimate of the simplex iterations a **cold** solve of the LP
@@ -465,22 +436,6 @@ mod tests {
         // Verified like any other solution: objective can only improve with
         // a bigger budget.
         assert!(warm.objective <= cold.objective + 1e-9);
-    }
-
-    #[test]
-    fn delta_resolve_warm_starts_from_prior_solution() {
-        let jobs: Vec<Job> = vec![
-            Job::new(0, 0, 40, 7),
-            Job::new(1, 0, 45, 6),
-            Job::new(2, 5, 50, 7),
-        ];
-        let cancel = CancelToken::new();
-        let cold = relax_and_solve(&jobs, Dur(10), 3, &opts()).unwrap();
-        let warm = relax_and_solve_delta(&jobs, Dur(10), 4, &opts(), &cancel, Some(&cold)).unwrap();
-        assert!(warm.warm_used, "prior basis must carry over an rhs change");
-        // Without a prior solution the wrapper is a plain cold solve.
-        let none = relax_and_solve_delta(&jobs, Dur(10), 4, &opts(), &cancel, None).unwrap();
-        assert!(!none.warm_used);
         // The cold estimate never under-reports the actual work.
         assert!(cold_iteration_estimate(&cold) >= cold.iterations);
         assert!(cold_iteration_estimate(&warm) >= warm.iterations);

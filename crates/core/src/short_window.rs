@@ -95,8 +95,11 @@ const MEMO_CAPACITY: usize = 4096;
 /// job *ids*, which shift when jobs are added or removed elsewhere.
 /// Placements are therefore stored by position in the interval's job slice
 /// and re-labelled with the current ids on replay, so a hit reproduces the
-/// MM schedule bit-for-bit. Every replayed schedule still passes through
-/// [`ise_mm::validate_mm`] in interval emission.
+/// MM schedule bit-for-bit. The key is only a hash, so each entry also keeps
+/// its job content and a hit must match it: a colliding interval misses
+/// instead of replaying another interval's schedule. Every replayed
+/// schedule still passes through [`ise_mm::validate_mm`] in interval
+/// emission.
 #[derive(Debug, Default)]
 pub struct ShortWindowMemo {
     entries: HashMap<u64, MemoEntry>,
@@ -108,11 +111,18 @@ pub struct ShortWindowMemo {
 }
 
 /// A cached MM schedule in position-normalized form: `(job position in the
-/// interval's slice, start, machine)`.
+/// interval's slice, start, machine)`, with the `(r, d, p)` content it was
+/// computed for.
 #[derive(Clone, Debug)]
 struct MemoEntry {
+    content: Vec<(Time, Time, Dur)>,
     machines: usize,
     placements: Vec<(usize, Time, usize)>,
+}
+
+/// An interval's MM input in slice order: the `(r, d, p)` of each job.
+fn content(jobs: &[Job]) -> impl Iterator<Item = (Time, Time, Dur)> + '_ {
+    jobs.iter().map(|j| (j.release, j.deadline, j.proc))
 }
 
 impl ShortWindowMemo {
@@ -169,6 +179,9 @@ impl ShortWindowMemo {
 
     fn lookup(&mut self, key: u64, jobs: &[Job]) -> Option<MmSchedule> {
         let entry = self.entries.get(&key)?;
+        if !entry.content.iter().copied().eq(content(jobs)) {
+            return None;
+        }
         self.hits += 1;
         self.last_hits += 1;
         Some(MmSchedule {
@@ -202,6 +215,7 @@ impl ShortWindowMemo {
             .insert(
                 key,
                 MemoEntry {
+                    content: content(jobs).collect(),
                     machines: schedule.machines,
                     placements,
                 },
@@ -246,47 +260,30 @@ pub fn schedule_short_windows_with(
     mm: &dyn MachineMinimizer,
     policy: CrossingPolicy,
 ) -> Result<ShortWindowOutcome, SchedError> {
-    schedule_short_windows_cancellable(instance, mm, policy, &CancelToken::default())
+    schedule_short_windows_cancellable(instance, mm, policy, &CancelToken::default(), None)
 }
 
-/// The full-featured entry point: explicit crossing policy plus a
-/// cooperative cancellation token, polled before every per-interval MM
-/// call. The per-interval MM calls of Algorithm 5 are independent, so they
-/// are fanned out across a bounded pool of scoped threads; the schedule is
-/// then emitted sequentially in interval order, so results are identical to
-/// a sequential run.
+/// The full-featured entry point: explicit crossing policy, a cooperative
+/// cancellation token polled before every per-interval MM call, and an
+/// optional memo for delta solving. The per-interval MM calls of
+/// Algorithm 5 are independent, so they are fanned out across a bounded
+/// pool of scoped threads; the schedule is then emitted sequentially in
+/// interval order, so results are identical to a sequential run.
+///
+/// With a `memo`, per-interval MM results are served from (and recorded
+/// into) it: intervals whose job content is unchanged since a previous
+/// solve replay without an MM call, and [`ShortWindowMemo::last_misses`]
+/// reports how many intervals had to be recomputed.
 pub fn schedule_short_windows_cancellable(
-    instance: &Instance,
-    mm: &dyn MachineMinimizer,
-    policy: CrossingPolicy,
-    cancel: &CancelToken,
-) -> Result<ShortWindowOutcome, SchedError> {
-    schedule_short_windows_inner(instance, mm, policy, cancel, None)
-}
-
-/// Delta-aware entry point: as [`schedule_short_windows_cancellable`], but
-/// per-interval MM results are served from (and recorded into) `memo`.
-/// Intervals whose job content is unchanged since a previous solve replay
-/// without an MM call; [`ShortWindowMemo::last_misses`] reports how many
-/// intervals had to be recomputed.
-pub fn schedule_short_windows_memoized(
-    instance: &Instance,
-    mm: &dyn MachineMinimizer,
-    policy: CrossingPolicy,
-    cancel: &CancelToken,
-    memo: &mut ShortWindowMemo,
-) -> Result<ShortWindowOutcome, SchedError> {
-    memo.begin_solve();
-    schedule_short_windows_inner(instance, mm, policy, cancel, Some(memo))
-}
-
-fn schedule_short_windows_inner(
     instance: &Instance,
     mm: &dyn MachineMinimizer,
     policy: CrossingPolicy,
     cancel: &CancelToken,
     mut memo: Option<&mut ShortWindowMemo>,
 ) -> Result<ShortWindowOutcome, SchedError> {
+    if let Some(memo) = memo.as_deref_mut() {
+        memo.begin_solve();
+    }
     if !instance.all_short() {
         return Err(SchedError::Precondition {
             requirement: "short-window pipeline requires every job window < 2T",
@@ -735,24 +732,24 @@ mod tests {
             Instance::new([(0, 12, 6), (3, 17, 6), (20, 33, 8), (400, 412, 5)], 2, 10).unwrap();
         let cold = schedule_short_windows(&inst, &mm).unwrap();
         let mut memo = ShortWindowMemo::new();
-        let first = schedule_short_windows_memoized(
+        let first = schedule_short_windows_cancellable(
             &inst,
             &mm,
             CrossingPolicy::ExtraMachines,
             &cancel,
-            &mut memo,
+            Some(&mut memo),
         )
         .unwrap();
         assert_eq!(first.schedule, cold.schedule);
         assert_eq!(memo.last_hits(), 0);
         assert_eq!(memo.last_misses(), cold.intervals.len());
         // Unchanged instance: every interval replays from the memo.
-        let second = schedule_short_windows_memoized(
+        let second = schedule_short_windows_cancellable(
             &inst,
             &mm,
             CrossingPolicy::ExtraMachines,
             &cancel,
-            &mut memo,
+            Some(&mut memo),
         )
         .unwrap();
         assert_eq!(second.schedule, cold.schedule);
@@ -770,20 +767,20 @@ mod tests {
         let before = Instance::new([(0, 12, 6), (400, 412, 5)], 2, 10).unwrap();
         let after = Instance::new([(0, 12, 6), (400, 412, 5), (403, 415, 4)], 2, 10).unwrap();
         let mut memo = ShortWindowMemo::new();
-        schedule_short_windows_memoized(
+        schedule_short_windows_cancellable(
             &before,
             &mm,
             CrossingPolicy::ExtraMachines,
             &cancel,
-            &mut memo,
+            Some(&mut memo),
         )
         .unwrap();
-        let out = schedule_short_windows_memoized(
+        let out = schedule_short_windows_cancellable(
             &after,
             &mm,
             CrossingPolicy::ExtraMachines,
             &cancel,
-            &mut memo,
+            Some(&mut memo),
         )
         .unwrap();
         // Interval around t=0 is untouched (hit); the one around t=400
@@ -793,6 +790,20 @@ mod tests {
         let scratch = schedule_short_windows(&after, &mm).unwrap();
         assert_eq!(out.schedule, scratch.schedule);
         validate(&after, &out.schedule).unwrap();
+    }
+
+    #[test]
+    fn memo_key_collision_is_a_miss() {
+        // Force a collision: an entry stored under key 7 for a two-job
+        // interval, then a lookup of key 7 for a different, shorter
+        // interval. Replaying by position would index past its one job.
+        let stored = [Job::new(0, 0, 12, 6), Job::new(1, 3, 17, 6)];
+        let schedule = ExactMm::default().minimize(&stored).unwrap();
+        let mut memo = ShortWindowMemo::new();
+        memo.insert(7, &stored, &schedule);
+        assert!(memo.lookup(7, &[Job::new(0, 40, 52, 5)]).is_none());
+        assert_eq!(memo.hits(), 0);
+        assert!(memo.lookup(7, &stored).is_some());
     }
 
     #[test]

@@ -10,8 +10,7 @@ use crate::cancel::CancelToken;
 use crate::error::SchedError;
 use crate::long_window::{schedule_long_windows, LongWindowOptions, LongWindowOutcome};
 use crate::short_window::{
-    schedule_short_windows_cancellable, schedule_short_windows_memoized, CrossingPolicy,
-    ShortWindowMemo, ShortWindowOutcome,
+    schedule_short_windows_cancellable, CrossingPolicy, ShortWindowMemo, ShortWindowOutcome,
 };
 use ise_mm::{
     ExactMm, GreedyMm, LpRoundMm, MachineMinimizer, MmError, MmSchedule, Portfolio, UnitMm,
@@ -126,12 +125,14 @@ fn run_short_pipeline(
     opts: &SolverOptions,
     memo: Option<&mut ShortWindowMemo>,
 ) -> Result<ShortWindowOutcome, SchedError> {
-    let policy = CrossingPolicy::ExtraMachines;
     let mm = mm_black_box(opts.mm);
-    match memo {
-        Some(memo) => schedule_short_windows_memoized(sub, mm.as_ref(), policy, &opts.cancel, memo),
-        None => schedule_short_windows_cancellable(sub, mm.as_ref(), policy, &opts.cancel),
-    }
+    schedule_short_windows_cancellable(
+        sub,
+        mm.as_ref(),
+        CrossingPolicy::ExtraMachines,
+        &opts.cancel,
+        memo,
+    )
 }
 
 struct AutoMm {
@@ -176,10 +177,6 @@ pub struct SolveReuse {
     pub warm_basis: Option<Basis>,
     /// Per-interval MM memo for the short-window pipeline.
     pub memo: ShortWindowMemo,
-    /// Shared simplex scratch: successive solves through the same reuse
-    /// state recycle all pivot-loop buffers (steady-state re-solves are
-    /// allocation-free in the simplex loop).
-    pub workspace: ise_simplex::WorkspaceHandle,
 }
 
 impl SolveReuse {
@@ -202,7 +199,6 @@ pub fn solve_incremental(
 ) -> Result<SolveOutcome, SchedError> {
     let mut warm_opts = opts.clone();
     warm_opts.long.warm_basis = reuse.warm_basis.clone();
-    warm_opts.long.lp.workspace = Some(reuse.workspace.clone());
     // Reset the per-solve memo counters here: the short-window half may not
     // run at all (no short jobs), and its stats must not carry over.
     reuse.memo.begin_solve();

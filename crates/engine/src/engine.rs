@@ -638,11 +638,6 @@ impl Drop for Engine {
 }
 
 fn worker_loop(shared: &Shared) {
-    // One simplex workspace per worker: every solve this worker runs
-    // recycles the same pivot-loop scratch, so steady-state serving does
-    // no per-iteration heap allocation. Never shared across workers, so
-    // the handle's mutex is uncontended.
-    let workspace = ise_simplex::WorkspaceHandle::new();
     while let Some(job) = shared.queue.pop() {
         let wait = job.enqueued.elapsed();
         shared.metrics.queue_wait.record(wait);
@@ -653,7 +648,7 @@ fn worker_loop(shared: &Shared) {
         let mut response = {
             let _guard = trace.as_ref().map(ise_obs::Trace::install);
             ise_obs::Span::record("engine.queue_wait", wait);
-            handle_request(shared, &workspace, job.id, &job.request)
+            handle_request(shared, job.id, &job.request)
         };
         if let Some(trace) = trace {
             let phases = PhaseTimings::from_records(&trace.drain());
@@ -685,12 +680,7 @@ fn session_response(id: u64, status: &str, session: Option<SessionInfo>) -> Engi
     }
 }
 
-fn handle_request(
-    shared: &Shared,
-    workspace: &ise_simplex::WorkspaceHandle,
-    id: u64,
-    request: &EngineRequest,
-) -> EngineResponse {
+fn handle_request(shared: &Shared, id: u64, request: &EngineRequest) -> EngineResponse {
     let error = |message: String, timed_out: bool| {
         inc(&shared.metrics.errors);
         EngineResponse {
@@ -761,7 +751,6 @@ fn handle_request(
         ..SolverOptions::default()
     };
     opts.long.warm_basis = warm_basis.map(|b| (*b).clone());
-    opts.long.lp.workspace = Some(workspace.clone());
 
     let started = Instant::now();
     let solve_span = ise_obs::Span::enter("engine.solve");

@@ -455,17 +455,10 @@ impl Session {
         };
         let mut reuse = match tier {
             ReuseTier::Cold => {
-                // Structural commit: invalidate the basis and the memo, but
-                // keep the simplex workspace — its scratch buffers are
-                // content-free, so recycling them is always sound and keeps
-                // even cold re-solves allocation-light.
+                // Structural commit: invalidate the basis and the memo.
                 let _span = ise_obs::Span::enter("session.invalidate");
-                let workspace = std::mem::take(&mut self.reuse).workspace;
                 self.reuse = SolveReuse::new();
-                SolveReuse {
-                    workspace,
-                    ..SolveReuse::new()
-                }
+                SolveReuse::new()
             }
             _ => std::mem::take(&mut self.reuse),
         };

@@ -31,14 +31,12 @@
 //!   This is the original kernel, kept as the last-resort oracle.
 //!
 //! All hot-path operations come in `_into` form writing into
-//! caller-provided buffers, so the pivot loop performs no heap allocation
-//! once the buffers have grown to their steady-state sizes. Growth is
-//! observable: every operation that might reallocate takes an `events`
-//! counter bumped once per actual capacity change, which is how the
-//! zero-allocation property of warm re-solves is asserted in tests. The
-//! eta file and the LU arenas are truncated rather than freed on
-//! refactorization, so steady-state pivots reuse their capacity too.
+//! caller-provided buffers, which the solver keeps for the whole solve, so
+//! the pivot loop reuses them instead of allocating per iteration. The eta
+//! file and the LU arenas are truncated rather than freed on
+//! refactorization, so later pivots reuse their capacity too.
 
+use crate::lu::reset_to;
 use crate::solver::SolverError;
 
 pub use crate::lu::{FactorStats, LuFactor, SpVec, Support};
@@ -59,17 +57,6 @@ pub enum Factorization {
     Eta,
     /// Explicit dense inverse.
     Dense,
-}
-
-/// Grow `v` to exactly `n` elements of `fill`, counting an allocation
-/// event if the capacity had to change.
-#[inline]
-pub(crate) fn ensure_filled<T: Copy>(v: &mut Vec<T>, n: usize, fill: T, events: &mut u64) {
-    if v.capacity() < n {
-        *events += 1;
-    }
-    v.clear();
-    v.resize(n, fill);
 }
 
 /// One eta matrix header: identity except column `row`, with the pivot
@@ -96,27 +83,19 @@ pub struct EtaFile {
 impl EtaFile {
     /// Append the eta derived from pivot direction `w` leaving at `row`
     /// (`E[row][row] = 1/w_row`, `E[i][row] = -w_i/w_row`).
-    fn push_direction(&mut self, row: usize, w: &[f64], events: &mut u64) {
+    fn push_direction(&mut self, row: usize, w: &[f64]) {
         let start = self.data.len();
-        let data_cap = self.data.capacity();
         for (i, &wi) in w.iter().enumerate() {
             if i != row && wi.abs() > SINGULAR_TOL {
                 self.data.push((i, wi));
             }
         }
-        if self.data.capacity() != data_cap {
-            *events += 1;
-        }
-        let hdr_cap = self.hdr.capacity();
         self.hdr.push(EtaHdr {
             row,
             diag: w[row],
             start,
             len: self.data.len() - start,
         });
-        if self.hdr.capacity() != hdr_cap {
-            *events += 1;
-        }
     }
 
     fn clear(&mut self) {
@@ -167,10 +146,9 @@ pub struct DenseInverse {
 
 /// Reusable scratch for [`Factor::refactor_with`]: the reinversion order,
 /// permutation bookkeeping, one dense column buffer, and the dense kernel's
-/// working matrix. Owned by the solver's
-/// [`Workspace`](crate::solver::Workspace) so refactorizations stop
-/// allocating once warm. (The LU kernel carries its own scratch inside
-/// [`LuFactor`], cached the same way through the workspace factor cache.)
+/// working matrix. The solver keeps one for the whole solve, so repeated
+/// refactorizations reuse its buffers. (The LU kernel carries its own
+/// scratch inside [`LuFactor`].)
 #[derive(Default)]
 pub struct FactorScratch {
     dense_a: Vec<f64>,
@@ -184,19 +162,14 @@ pub struct FactorScratch {
 /// explicit inverse.
 pub enum Factor {
     /// Sparse LU with Forrest–Tomlin updates (default). Boxed: the LU
-    /// workspace is ~1 KiB of arena headers, and the factor is moved in
-    /// and out of the cached solver workspace on every solve.
+    /// factor holds ~1 KiB of inline arena headers and scratch vectors,
+    /// against a few dozen bytes for the other variants, and an unboxed
+    /// variant would make every `Factor` that large.
     Lu(Box<LuFactor>),
     /// Dense explicit inverse (last-resort oracle).
     Dense(DenseInverse),
     /// Product-form inverse (first-line oracle).
     Eta(EtaFile),
-}
-
-impl Default for Factor {
-    fn default() -> Factor {
-        Factor::Lu(Box::default())
-    }
 }
 
 impl Factor {
@@ -215,53 +188,6 @@ impl Factor {
                     binv[i * m + i] = 1.0;
                 }
                 Factor::Dense(DenseInverse { m, binv })
-            }
-        }
-    }
-
-    /// Turn a cached factor (e.g. one kept in a solver workspace between
-    /// solves) into the identity for an `m`-row basis, reusing its storage
-    /// whenever the representation matches. This is what makes repeat
-    /// solves through a shared workspace allocation-free: the LU arenas /
-    /// eta arena / dense inverse from the previous solve are recycled
-    /// instead of rebuilt. Effort counters ([`FactorStats`]) restart at
-    /// zero — they describe one solve.
-    pub fn prepare(cached: Factor, m: usize, kind: Factorization, events: &mut u64) -> Factor {
-        match (cached, kind) {
-            (Factor::Lu(mut lu), Factorization::Lu) => {
-                let before = lu.footprint();
-                lu.reset_identity(m);
-                lu.stats = FactorStats::default();
-                if lu.footprint() > before {
-                    *events += 1;
-                }
-                Factor::Lu(lu)
-            }
-            (Factor::Eta(mut e), Factorization::Eta) => {
-                e.clear();
-                Factor::Eta(e)
-            }
-            (Factor::Dense(mut d), Factorization::Dense) => {
-                if d.binv.capacity() < m * m {
-                    *events += 1;
-                }
-                d.binv.clear();
-                d.binv.resize(m * m, 0.0);
-                for i in 0..m {
-                    d.binv[i * m + i] = 1.0;
-                }
-                d.m = m;
-                Factor::Dense(d)
-            }
-            // Representation switch (recovery-ladder fallback or explicit
-            // option change): build fresh. The empty eta file allocates
-            // nothing; the other two do.
-            (_, Factorization::Eta) => Factor::Eta(EtaFile::default()),
-            (_, kind) => {
-                if m > 0 {
-                    *events += 1;
-                }
-                Factor::identity(m, kind)
             }
         }
     }
@@ -291,23 +217,10 @@ impl Factor {
     /// FTRAN against a sparse column: `out = B⁻¹ a`. The LU kernel leaves
     /// `out` in sparse mode when the hyper-sparse path ran; the oracle
     /// kernels always produce dense-mode vectors.
-    pub fn ftran_col_into(
-        &mut self,
-        m: usize,
-        col: &[(usize, f64)],
-        out: &mut SpVec,
-        events: &mut u64,
-    ) {
+    pub fn ftran_col_into(&mut self, m: usize, col: &[(usize, f64)], out: &mut SpVec) {
         match self {
-            Factor::Lu(lu) => {
-                let before = lu.footprint() + out.footprint();
-                lu.ftran(col, out);
-                if lu.footprint() + out.footprint() > before {
-                    *events += 1;
-                }
-            }
+            Factor::Lu(lu) => lu.ftran(col, out),
             Factor::Dense(d) => {
-                let before = out.footprint();
                 out.reset(m);
                 out.make_dense();
                 let vals = out.vals_mut();
@@ -316,12 +229,8 @@ impl Factor {
                         *wi += a * d.binv[i * m + r];
                     }
                 }
-                if out.footprint() > before {
-                    *events += 1;
-                }
             }
             Factor::Eta(e) => {
-                let before = out.footprint();
                 out.reset(m);
                 out.make_dense();
                 let vals = out.vals_mut();
@@ -329,9 +238,6 @@ impl Factor {
                     vals[r] = a;
                 }
                 e.apply_all_ftran(vals);
-                if out.footprint() > before {
-                    *events += 1;
-                }
             }
         }
     }
@@ -339,22 +245,15 @@ impl Factor {
     /// Allocating convenience wrapper around [`Factor::ftran_col_into`].
     pub fn ftran_col(&mut self, m: usize, col: &[(usize, f64)]) -> Vec<f64> {
         let mut out = SpVec::default();
-        self.ftran_col_into(m, col, &mut out, &mut 0);
+        self.ftran_col_into(m, col, &mut out);
         out.vals().to_vec()
     }
 
     /// BTRAN against a dense row vector: `out = vᵀ B⁻¹`.
-    pub fn btran_into(&mut self, m: usize, v: &[f64], out: &mut SpVec, events: &mut u64) {
+    pub fn btran_into(&mut self, m: usize, v: &[f64], out: &mut SpVec) {
         match self {
-            Factor::Lu(lu) => {
-                let before = lu.footprint() + out.footprint();
-                lu.btran(v, out);
-                if lu.footprint() + out.footprint() > before {
-                    *events += 1;
-                }
-            }
+            Factor::Lu(lu) => lu.btran(v, out),
             Factor::Dense(d) => {
-                let before = out.footprint();
                 out.reset(m);
                 out.make_dense();
                 let vals = out.vals_mut();
@@ -366,17 +265,10 @@ impl Factor {
                         }
                     }
                 }
-                if out.footprint() > before {
-                    *events += 1;
-                }
             }
             Factor::Eta(e) => {
-                let before = out.footprint();
                 out.load_dense(v);
                 e.apply_all_btran(out.vals_mut());
-                if out.footprint() > before {
-                    *events += 1;
-                }
             }
         }
     }
@@ -385,7 +277,7 @@ impl Factor {
     /// returns `yᵀ = vᵀ B⁻¹`.
     pub fn btran(&mut self, m: usize, v: Vec<f64>) -> Vec<f64> {
         let mut out = SpVec::default();
-        self.btran_into(m, &v, &mut out, &mut 0);
+        self.btran_into(m, &v, &mut out);
         out.vals().to_vec()
     }
 
@@ -394,35 +286,21 @@ impl Factor {
     /// Under LU this is the *partial* BTRAN: the unit seed is maximally
     /// sparse, so only the reach of `row` is materialized and the caller's
     /// pricing loop can skip everything outside `out`'s tracked support.
-    pub fn row_of_inverse_into(&mut self, m: usize, row: usize, out: &mut SpVec, events: &mut u64) {
+    pub fn row_of_inverse_into(&mut self, m: usize, row: usize, out: &mut SpVec) {
         match self {
-            Factor::Lu(lu) => {
-                let before = lu.footprint() + out.footprint();
-                lu.btran_unit(row, out);
-                if lu.footprint() + out.footprint() > before {
-                    *events += 1;
-                }
-            }
+            Factor::Lu(lu) => lu.btran_unit(row, out),
             Factor::Dense(d) => {
-                let before = out.footprint();
                 out.reset(m);
                 out.make_dense();
                 out.vals_mut()
                     .copy_from_slice(&d.binv[row * m..(row + 1) * m]);
-                if out.footprint() > before {
-                    *events += 1;
-                }
             }
             Factor::Eta(e) => {
-                let before = out.footprint();
                 out.reset(m);
                 out.make_dense();
                 let vals = out.vals_mut();
                 vals[row] = 1.0;
                 e.apply_all_btran(vals);
-                if out.footprint() > before {
-                    *events += 1;
-                }
             }
         }
     }
@@ -430,26 +308,18 @@ impl Factor {
     /// Allocating convenience wrapper around [`Factor::row_of_inverse_into`].
     pub fn row_of_inverse(&mut self, m: usize, row: usize) -> Vec<f64> {
         let mut out = SpVec::default();
-        self.row_of_inverse_into(m, row, &mut out, &mut 0);
+        self.row_of_inverse_into(m, row, &mut out);
         out.vals().to_vec()
     }
 
     /// Account for a pivot with direction `w` leaving at `leaving_row`.
     /// The caller guarantees `|w[leaving_row]|` is above its pivot
-    /// tolerance. `events` counts arena growth. Returns `false` when the
-    /// update was *refused* on stability grounds (Forrest–Tomlin only) —
-    /// the factor is then stale and the caller must refactorize before the
-    /// next solve operation.
-    pub fn update_counted(&mut self, leaving_row: usize, w: &SpVec, events: &mut u64) -> bool {
+    /// tolerance. Returns `false` when the update was *refused* on
+    /// stability grounds (Forrest–Tomlin only) — the factor is then stale
+    /// and the caller must refactorize before the next solve operation.
+    pub fn update(&mut self, leaving_row: usize, w: &SpVec) -> bool {
         match self {
-            Factor::Lu(lu) => {
-                let before = lu.footprint();
-                let applied = lu.update(leaving_row, w);
-                if lu.footprint() > before {
-                    *events += 1;
-                }
-                applied
-            }
+            Factor::Lu(lu) => lu.update(leaving_row, w),
             Factor::Dense(d) => {
                 let m = d.m;
                 let w = w.vals();
@@ -479,15 +349,10 @@ impl Factor {
                 true
             }
             Factor::Eta(e) => {
-                e.push_direction(leaving_row, w.vals(), events);
+                e.push_direction(leaving_row, w.vals());
                 true
             }
         }
-    }
-
-    /// [`Factor::update_counted`] without allocation accounting.
-    pub fn update(&mut self, leaving_row: usize, w: &SpVec) -> bool {
-        self.update_counted(leaving_row, w, &mut 0)
     }
 
     /// Rebuild the representation from the basis columns and recompute
@@ -502,22 +367,14 @@ impl Factor {
         b: &[f64],
         xb: &mut [f64],
         scratch: &mut FactorScratch,
-        events: &mut u64,
     ) -> Result<(), SolverError> {
         let m = basis.len();
         match self {
-            Factor::Lu(lu) => {
-                let before = lu.footprint();
-                let result = lu.refactor(cols, basis, b, xb);
-                if lu.footprint() > before {
-                    *events += 1;
-                }
-                result
-            }
+            Factor::Lu(lu) => lu.refactor(cols, basis, b, xb),
             Factor::Dense(d) => {
                 debug_assert_eq!(d.m, m);
                 let a = &mut scratch.dense_a;
-                ensure_filled(a, m * m, 0.0, events);
+                reset_to(a, m * m, 0.0);
                 for (col, &bv) in basis.iter().enumerate() {
                     for &(r, v) in &cols[bv] {
                         a[r * m + col] = v;
@@ -578,18 +435,15 @@ impl Factor {
                 // distinct (basis entries are distinct), so the unstable
                 // sort is deterministic.
                 let order = &mut scratch.order;
-                if order.capacity() < m {
-                    *events += 1;
-                }
                 order.clear();
                 order.extend(0..m);
                 order.sort_unstable_by_key(|&i| (cols[basis[i]].len(), basis[i]));
                 let new_basis = &mut scratch.new_basis;
-                ensure_filled(new_basis, m, usize::MAX, events);
+                reset_to(new_basis, m, usize::MAX);
                 let assigned = &mut scratch.assigned;
-                ensure_filled(assigned, m, false, events);
+                reset_to(assigned, m, false);
                 let v = &mut scratch.col;
-                ensure_filled(v, m, 0.0, events);
+                reset_to(v, m, 0.0);
                 for &pos in order.iter() {
                     let var = basis[pos];
                     v.fill(0.0);
@@ -608,7 +462,7 @@ impl Factor {
                     if best == usize::MAX {
                         return Err(SolverError::SingularBasis);
                     }
-                    e.push_direction(best, v, events);
+                    e.push_direction(best, v);
                     assigned[best] = true;
                     new_basis[best] = var;
                 }
@@ -631,7 +485,7 @@ impl Factor {
         xb: &mut [f64],
     ) -> Result<(), SolverError> {
         let mut scratch = FactorScratch::default();
-        self.refactor_with(cols, basis, b, xb, &mut scratch, &mut 0)
+        self.refactor_with(cols, basis, b, xb, &mut scratch)
     }
 }
 
@@ -752,7 +606,7 @@ mod tests {
         for kind in KINDS {
             let mut f = Factor::identity(2, kind);
             let mut w = SpVec::default();
-            f.ftran_col_into(2, &cols[2], &mut w, &mut 0);
+            f.ftran_col_into(2, &cols[2], &mut w);
             assert_eq!(w.vals(), &[2.0, 1.0]);
             assert!(f.update(0, &w)); // column 2 replaces position 0
             let basis = vec![2usize, 1];
@@ -777,7 +631,7 @@ mod tests {
     }
 
     #[test]
-    fn into_ops_match_allocating_ops_and_stop_counting_when_warm() {
+    fn into_ops_match_allocating_ops() {
         let cols = cols3();
         let b = vec![1.0, 2.0, 3.0];
         let mut xb = vec![0.0; 3];
@@ -785,31 +639,18 @@ mod tests {
             let mut f = Factor::identity(3, kind);
             let mut basis = vec![0usize, 1, 2];
             let mut scratch = FactorScratch::default();
-            let mut events = 0u64;
-            f.refactor_with(&cols, &mut basis, &b, &mut xb, &mut scratch, &mut events)
+            f.refactor_with(&cols, &mut basis, &b, &mut xb, &mut scratch)
                 .unwrap();
 
             let mut w = SpVec::default();
             let mut y = SpVec::default();
             let mut r0 = SpVec::default();
-            f.ftran_col_into(3, &cols[0], &mut w, &mut events);
-            f.btran_into(3, &[1.0, 0.0, 0.5], &mut y, &mut events);
-            f.row_of_inverse_into(3, 1, &mut r0, &mut events);
+            f.ftran_col_into(3, &cols[0], &mut w);
+            f.btran_into(3, &[1.0, 0.0, 0.5], &mut y);
+            f.row_of_inverse_into(3, 1, &mut r0);
             assert_eq!(w.vals(), f.ftran_col(3, &cols[0]).as_slice());
             assert_eq!(y.vals(), f.btran(3, vec![1.0, 0.0, 0.5]).as_slice());
             assert_eq!(r0.vals(), f.row_of_inverse(3, 1).as_slice());
-
-            // Second pass over warmed buffers: no further events.
-            let warm_events = events;
-            f.refactor_with(&cols, &mut basis, &b, &mut xb, &mut scratch, &mut events)
-                .unwrap();
-            f.ftran_col_into(3, &cols[0], &mut w, &mut events);
-            f.btran_into(3, &[1.0, 0.0, 0.5], &mut y, &mut events);
-            f.row_of_inverse_into(3, 1, &mut r0, &mut events);
-            assert_eq!(
-                events, warm_events,
-                "warm factor ops must not allocate ({kind:?})"
-            );
         }
     }
 

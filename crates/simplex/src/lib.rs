@@ -27,11 +27,9 @@
 //!   Dantzig scan behind [`Pricing::Dantzig`] as a cross-check oracle, and
 //!   an automatic switch to Bland's rule under either when the iteration
 //!   stalls on degenerate pivots (anti-cycling),
-//! * a reusable [`Workspace`] of pivot-loop scratch buffers, shareable
-//!   across solves through [`SolveOptions::workspace`] /
-//!   [`WorkspaceHandle`], making steady-state re-solves allocation-free
-//!   (observable via [`Workspace::alloc_events`]); pricing effort is
-//!   reported per solve in [`PricingStats`],
+//! * per-solve scratch buffers that the pivot loop reuses across
+//!   iterations, phases, and refactorizations; pricing effort is reported
+//!   per solve in [`PricingStats`],
 //! * a zero-ratio leaving rule that immediately evicts artificial variables
 //!   that remain basic at level zero after phase 1,
 //! * a **numerics layer**: a Harris-style two-pass ratio test
@@ -65,8 +63,7 @@ pub use factor::{FactorStats, Factorization, SpVec};
 pub use presolve::{presolve, solve_with_presolve, solve_with_presolve_warm, Presolved};
 pub use problem::{Cmp, LinearProgram, Row};
 pub use solver::{
-    solve, solve_warm, solve_warm_ws, Basis, Interrupt, InterruptHandle, NumericsReport, Pricing,
-    PricingStats, RatioTest, Solution, SolveOptions, SolveStatus, SolverError, Workspace,
-    WorkspaceHandle,
+    solve, solve_warm, Basis, Interrupt, InterruptHandle, NumericsReport, Pricing, PricingStats,
+    RatioTest, Solution, SolveOptions, SolveStatus, SolverError,
 };
 pub use verify::{check_dual, check_solution, Violation};

@@ -40,11 +40,8 @@
 //!   hyper-sparse hit rate is pinned in the benchmark suite.
 //!
 //! Every vector and arena in the factor survives refactorizations (arenas
-//! truncate, never free) and whole solves (the factor is cached in the
-//! solver [`Workspace`](crate::solver::Workspace)), so steady-state warm
-//! re-solves perform no heap allocation. Public operations report growth
-//! through the same `events` counter the rest of the workspace uses, by
-//! comparing the factor's total capacity footprint before and after.
+//! truncate, never free), so pivots after a reinversion reuse the capacity
+//! the earlier ones grew. The factor belongs to one solve.
 
 use crate::solver::SolverError;
 
@@ -208,13 +205,6 @@ impl SpVec {
             Support::Sparse(self.idx.iter())
         }
     }
-
-    /// Total heap capacity, for allocation-event accounting.
-    pub(crate) fn footprint(&self) -> usize {
-        self.vals.capacity() * std::mem::size_of::<f64>()
-            + self.idx.capacity() * 4
-            + self.mark.capacity()
-    }
 }
 
 /// Support iterator of a [`SpVec`] — tracked indices or the full range.
@@ -323,10 +313,6 @@ impl SegList {
     fn clear_seg(&mut self, id: usize) {
         self.seg[id].len = 0;
     }
-
-    fn footprint(&self) -> usize {
-        self.seg.capacity() * std::mem::size_of::<Seg>() + self.data.capacity() * 12
-    }
 }
 
 /// Iterative symbolic DFS over a [`SegList`]-shaped adjacency: visit the
@@ -397,29 +383,6 @@ struct MkScratch {
 }
 
 impl MkScratch {
-    fn footprint(&self) -> usize {
-        let inner: usize = self
-            .rows
-            .iter()
-            .map(|r| r.capacity() * 12)
-            .chain(self.cols.iter().map(|c| c.capacity() * 4))
-            .chain(self.urows.iter().map(|r| r.capacity() * 12))
-            .sum();
-        inner
-            + self.rows.capacity() * std::mem::size_of::<Vec<(u32, f64)>>()
-            + self.cols.capacity() * std::mem::size_of::<Vec<u32>>()
-            + self.urows.capacity() * std::mem::size_of::<Vec<(u32, f64)>>()
-            + (self.row_cnt.capacity() + self.col_cnt.capacity()) * 4
-            + self.row_active.capacity()
-            + self.col_done.capacity()
-            + (self.head.capacity() + self.next.capacity() + self.prev.capacity()) * 4
-            + self.acc_val.capacity() * 8
-            + self.acc_mark.capacity()
-            + self.acc_idx.capacity() * 4
-            + self.pos2row.capacity() * 4
-            + self.new_basis.capacity() * 8
-    }
-
     /// Unlink column `c` from its count bucket.
     fn bucket_remove(&mut self, c: u32) {
         let (p, n) = (self.prev[c as usize], self.next[c as usize]);
@@ -485,34 +448,11 @@ pub struct LuFactor {
     acc: SpVec,
     heap: Vec<u32>,
     mk: MkScratch,
-    /// Effort counters for this solve; reset by
-    /// [`Factor::prepare`](crate::factor::Factor::prepare).
+    /// Effort counters for this solve.
     pub stats: FactorStats,
 }
 
 impl LuFactor {
-    /// Total heap capacity of every buffer the factor owns. Public
-    /// operations compare this before/after to report allocation events.
-    pub(crate) fn footprint(&self) -> usize {
-        self.l_fwd.footprint()
-            + self.l_trans.footprint()
-            + self.l_order.capacity() * 4
-            + self.ft_row.capacity() * 4
-            + self.ft_seg.capacity() * 8
-            + self.ft_data.capacity() * 12
-            + self.diag.capacity() * 8
-            + self.urows.footprint()
-            + self.ucols.footprint()
-            + (self.seq.capacity() + self.rank_of.capacity()) * 4
-            + self.visited.capacity()
-            + self.stack.capacity() * 8
-            + self.post.capacity() * 4
-            + self.spike.footprint()
-            + self.acc.footprint()
-            + self.heap.capacity() * 4
-            + self.mk.footprint()
-    }
-
     /// Reset to the identity factorization for `m` rows, keeping capacity.
     pub(crate) fn reset_identity(&mut self, m: usize) {
         self.m = m;
@@ -1199,7 +1139,7 @@ impl LuFactor {
 }
 
 /// `v.clear(); v.resize(n, fill)` — shared shape for the scratch resets.
-fn reset_to<T: Copy>(v: &mut Vec<T>, n: usize, fill: T) {
+pub(crate) fn reset_to<T: Copy>(v: &mut Vec<T>, n: usize, fill: T) {
     v.clear();
     v.resize(n, fill);
 }

@@ -23,12 +23,9 @@
 //! and at phase transitions.
 //!
 //! All per-iteration scratch (multipliers, pivot direction, candidate
-//! list, devex weights, factorization staging) lives in a [`Workspace`]
-//! that survives iterations, phases, refactorizations, and — through
-//! [`SolveOptions::workspace`] — whole solves, so steady-state re-solves
-//! run without heap allocation in the pivot loop. The workspace counts its
-//! own buffer growth ([`Workspace::alloc_events`]), which is how that
-//! property is asserted.
+//! list, devex weights, factorization staging) belongs to the solve: it is
+//! allocated when the solve starts and reused across its iterations,
+//! phases and refactorizations.
 //!
 //! Phase 1 minimizes the sum of artificial variables; artificial variables
 //! that remain basic at level zero afterwards are driven out by zero-ratio
@@ -45,10 +42,11 @@
 // row; iterator rewrites obscure the numerics for no gain.
 #![allow(clippy::needless_range_loop)]
 
-use crate::factor::{ensure_filled, Factor, FactorScratch, Factorization, SpVec};
+use crate::factor::{Factor, FactorScratch, Factorization, SpVec};
+use crate::lu::reset_to;
 use crate::problem::{Cmp, LinearProgram};
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Outcome classification of a solve.
@@ -319,87 +317,6 @@ pub mod fault {
     }
 }
 
-/// Preallocated per-solve scratch: simplex multipliers, basic costs, the
-/// pivot direction, devex state, and factorization staging. Reused across
-/// iterations, phases, and refactorizations; hand the same workspace to
-/// successive solves via [`SolveOptions::workspace`] (see
-/// [`WorkspaceHandle`]) and steady-state re-solves stop allocating
-/// entirely.
-#[derive(Default)]
-pub struct Workspace {
-    /// Basic-cost vector (BTRAN input).
-    cb: Vec<f64>,
-    /// Simplex multipliers (BTRAN output; sparse-mode under the LU kernel
-    /// when the basic costs are sparse).
-    y: SpVec,
-    /// Pivot direction (FTRAN output) with tracked nonzero support, so the
-    /// ratio test, the basic-value update, and the eta/FT append walk only
-    /// actual nonzeros instead of the full row range.
-    w: SpVec,
-    /// Row of `B⁻¹` for devex updates and driving out artificials
-    /// (partial-BTRAN output under the LU kernel).
-    rho: SpVec,
-    /// `B·x_B` accumulator for the residual monitor.
-    resid: Vec<f64>,
-    /// Devex reference weights, indexed by standard-form column.
-    weights: Vec<f64>,
-    /// Improving candidates of the current pricing pass: `(column, d_j)`.
-    candidates: Vec<(usize, f64)>,
-    /// Refactorization staging buffers (see [`FactorScratch`]).
-    factor: FactorScratch,
-    /// Basis representation recycled between solves (eta arena / dense
-    /// inverse storage).
-    factor_cache: Factor,
-    /// Buffer-growth events; stable once every buffer reached steady state.
-    alloc_events: u64,
-}
-
-impl Workspace {
-    /// A fresh, empty workspace.
-    pub fn new() -> Workspace {
-        Workspace::default()
-    }
-
-    /// How many times any workspace-owned buffer had to grow. A warm
-    /// re-solve that leaves this unchanged performed zero heap allocations
-    /// inside the simplex loop.
-    pub fn alloc_events(&self) -> u64 {
-        self.alloc_events
-    }
-}
-
-/// A cloneable, thread-safe handle to a shared [`Workspace`], carried by
-/// [`SolveOptions::workspace`]. The solver holds the lock for the duration
-/// of a solve, so a handle serializes solves that share it — use one
-/// handle per worker.
-#[derive(Clone, Default)]
-pub struct WorkspaceHandle(Arc<Mutex<Workspace>>);
-
-impl WorkspaceHandle {
-    /// A handle owning a fresh workspace.
-    pub fn new() -> WorkspaceHandle {
-        WorkspaceHandle::default()
-    }
-
-    /// Current [`Workspace::alloc_events`] of the shared workspace.
-    pub fn alloc_events(&self) -> u64 {
-        self.lock().alloc_events
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Workspace> {
-        // A panic mid-solve (callers wrap solves in catch_unwind) leaves
-        // only stale scratch behind; the buffers are reinitialized on
-        // every use, so a poisoned workspace is safe to adopt.
-        self.0.lock().unwrap_or_else(|p| p.into_inner())
-    }
-}
-
-impl std::fmt::Debug for WorkspaceHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("WorkspaceHandle(..)")
-    }
-}
-
 /// Tunable solver parameters. The defaults suit the LPs in this workspace.
 #[derive(Clone, Debug)]
 pub struct SolveOptions {
@@ -434,9 +351,6 @@ pub struct SolveOptions {
     /// columns are priced per iteration before the best candidate is
     /// taken. `0` selects `clamp(cols / 8, 32, 256)`.
     pub pricing_window: usize,
-    /// Shared scratch reused across solves; `None` uses a private
-    /// throwaway workspace.
-    pub workspace: Option<WorkspaceHandle>,
     /// Optional cooperative-interruption hook polled inside the pivot loop.
     pub interrupt: Option<InterruptHandle>,
 }
@@ -455,7 +369,6 @@ impl Default for SolveOptions {
             check_every: 128,
             residual_tol: 1e-6,
             pricing_window: 0,
-            workspace: None,
             interrupt: None,
         }
     }
@@ -494,28 +407,6 @@ pub fn solve_warm(
     opts: &SolveOptions,
     warm: Option<&Basis>,
 ) -> Result<Solution, SolverError> {
-    match opts.workspace.clone() {
-        Some(handle) => {
-            let mut guard = handle.lock();
-            solve_warm_ws(lp, opts, warm, &mut guard)
-        }
-        None => {
-            let mut ws = Workspace::default();
-            solve_warm_ws(lp, opts, warm, &mut ws)
-        }
-    }
-}
-
-/// Like [`solve_warm`] but borrowing an explicit [`Workspace`] instead of
-/// going through [`SolveOptions::workspace`]. The workspace is returned to
-/// the caller (with all its grown buffers) on every exit path, including
-/// errors.
-pub fn solve_warm_ws(
-    lp: &LinearProgram,
-    opts: &SolveOptions,
-    warm: Option<&Basis>,
-    ws: &mut Workspace,
-) -> Result<Solution, SolverError> {
     // Recovery ladder: attempt 0 runs with the caller's options; when the
     // residual monitor declares the attempt unstable (or the basis turns
     // out singular), each further attempt re-solves from scratch with a
@@ -545,7 +436,7 @@ pub fn solve_warm_ws(
                 }
             }
         }
-        let mut tableau = Tableau::build(lp, eff.clone(), std::mem::take(ws));
+        let mut tableau = Tableau::build(lp, eff.clone());
         tableau.escalation = escalation;
         let out = tableau.run(warm);
         let climb = tableau.unstable || matches!(out, Err(SolverError::SingularBasis));
@@ -558,10 +449,6 @@ pub fn solve_warm_ws(
             ise_obs::Span::record("simplex.lu_update", tableau.lu_update_time);
         }
         carry.absorb(&tableau.numerics);
-        // Hand the workspace back — including the factor's storage,
-        // recycled by the next solve — on every exit path.
-        tableau.ws.factor_cache = std::mem::take(&mut tableau.factor);
-        *ws = std::mem::take(&mut tableau.ws);
         if climb && escalation < 4 {
             continue;
         }
@@ -606,8 +493,26 @@ struct Tableau {
     has_artificials: bool,
     /// +1 per row, or -1 where normalization multiplied the row by -1.
     row_sign: Vec<f64>,
-    /// Preallocated scratch; taken from (and returned to) the caller.
-    ws: Workspace,
+    /// Basic-cost vector (BTRAN input).
+    cb: Vec<f64>,
+    /// Simplex multipliers (BTRAN output; sparse-mode under the LU kernel
+    /// when the basic costs are sparse).
+    y: SpVec,
+    /// Pivot direction (FTRAN output) with tracked nonzero support, so the
+    /// ratio test, the basic-value update, and the eta/FT append walk only
+    /// actual nonzeros instead of the full row range.
+    w: SpVec,
+    /// Row of `B⁻¹` for devex updates and driving out artificials
+    /// (partial-BTRAN output under the LU kernel).
+    rho: SpVec,
+    /// `B·x_B` accumulator for the residual monitor.
+    resid: Vec<f64>,
+    /// Devex reference weights, indexed by standard-form column.
+    weights: Vec<f64>,
+    /// Improving candidates of the current pricing pass: `(column, d_j)`.
+    candidates: Vec<(usize, f64)>,
+    /// Refactorization staging buffers (see [`FactorScratch`]).
+    factor_scratch: FactorScratch,
     stats: PricingStats,
     /// Rotating start of the devex candidate window.
     cursor: usize,
@@ -628,12 +533,12 @@ struct Tableau {
     /// `simplex.lu_update` span when the LU kernel ran).
     lu_update_time: Duration,
     /// Set when a residual failure could not be repaired in-loop; tells
-    /// the driver in [`solve_warm_ws`] to climb to the next rung.
+    /// the recovery ladder in [`solve_warm`] to climb to the next rung.
     unstable: bool,
 }
 
 impl Tableau {
-    fn build(lp: &LinearProgram, opts: SolveOptions, ws: Workspace) -> Tableau {
+    fn build(lp: &LinearProgram, opts: SolveOptions) -> Tableau {
         let m = lp.num_rows();
         let n = lp.num_vars();
         let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
@@ -696,15 +601,8 @@ impl Tableau {
             in_basis[v] = true;
         }
         // Initial basis is the identity (slacks + artificials), so the
-        // factor is the identity and xb = b. Recycle the storage of the
-        // workspace's cached factor from the previous solve.
-        let mut ws = ws;
-        let factor = Factor::prepare(
-            std::mem::take(&mut ws.factor_cache),
-            m,
-            opts.factorization,
-            &mut ws.alloc_events,
-        );
+        // factor is the identity and xb = b.
+        let factor = Factor::identity(m, opts.factorization);
         let rhs_scale = 1.0 + b.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
         Tableau {
             opts,
@@ -723,7 +621,14 @@ impl Tableau {
             num_structural: n,
             has_artificials,
             row_sign,
-            ws,
+            cb: Vec::new(),
+            y: SpVec::default(),
+            w: SpVec::default(),
+            rho: SpVec::default(),
+            resid: Vec::new(),
+            weights: Vec::new(),
+            candidates: Vec::new(),
+            factor_scratch: FactorScratch::default(),
             stats: PricingStats::default(),
             cursor: 0,
             degenerate_streak: 0,
@@ -791,8 +696,7 @@ impl Tableau {
                     &mut self.basis,
                     &self.b,
                     &mut self.xb,
-                    &mut self.ws.factor,
-                    &mut self.ws.alloc_events,
+                    &mut self.factor_scratch,
                 )
                 .is_ok()
                 && {
@@ -975,16 +879,11 @@ impl Tableau {
             }
 
             // Simplex multipliers y = c_Bᵀ B⁻¹ via BTRAN.
-            ensure_filled(&mut self.ws.cb, self.m, 0.0, &mut self.ws.alloc_events);
+            reset_to(&mut self.cb, self.m, 0.0);
             for (i, &bv) in self.basis.iter().enumerate() {
-                self.ws.cb[i] = cost[bv];
+                self.cb[i] = cost[bv];
             }
-            self.factor.btran_into(
-                self.m,
-                &self.ws.cb,
-                &mut self.ws.y,
-                &mut self.ws.alloc_events,
-            );
+            self.factor.btran_into(self.m, &self.cb, &mut self.y);
 
             // Pricing.
             let pricing_start = Instant::now();
@@ -995,12 +894,8 @@ impl Tableau {
             };
 
             // Direction w = B⁻¹ A_j via FTRAN.
-            self.factor.ftran_col_into(
-                self.m,
-                &self.cols[entering],
-                &mut self.ws.w,
-                &mut self.ws.alloc_events,
-            );
+            self.factor
+                .ftran_col_into(self.m, &self.cols[entering], &mut self.w);
 
             let (leaving, theta) = self.select_leaving();
             if leaving == usize::MAX {
@@ -1036,12 +931,12 @@ impl Tableau {
     }
 
     /// Strict minimum-ratio contribution of row `i` for the direction in
-    /// `ws.w`, or `None` when the row does not limit the step. Artificial
+    /// `w`, or `None` when the row does not limit the step. Artificial
     /// basics at level ~0 leave at ratio 0 on any significant movement
     /// (either direction) so they can never become positive.
     #[inline]
     fn row_ratio(&self, i: usize) -> Option<f64> {
-        let wi = self.ws.w.vals()[i];
+        let wi = self.w.vals()[i];
         let basic_is_artificial = self.kind[self.basis[i]] == VarKind::Artificial;
         let artificial_at_zero = basic_is_artificial && self.xb[i] <= self.opts.feas_tol;
         if artificial_at_zero && wi.abs() > self.opts.pivot_tol {
@@ -1060,7 +955,7 @@ impl Tableau {
         1e-12 * (1.0 + theta.abs())
     }
 
-    /// Select the leaving row and step length for the direction in `ws.w`;
+    /// Select the leaving row and step length for the direction in `w`;
     /// `(usize::MAX, ∞)` means no row limits the step. Dispatches on
     /// [`SolveOptions::ratio_test`]; while Bland's anti-cycling rule is
     /// active the baseline least-index variant is used regardless, because
@@ -1083,11 +978,11 @@ impl Tableau {
         let mut best_piv = 0.0f64;
         // Rows outside the direction's support have w_i = 0 and can never
         // limit the step, so the scan walks the tracked nonzeros only.
-        for i in self.ws.w.support() {
+        for i in self.w.support() {
             let Some(ratio) = self.row_ratio(i) else {
                 continue;
             };
-            let wi = self.ws.w.vals()[i];
+            let wi = self.w.vals()[i];
             let better = if leaving == usize::MAX {
                 true
             } else {
@@ -1117,8 +1012,8 @@ impl Tableau {
     fn select_leaving_harris(&mut self) -> (usize, f64) {
         let mut theta_max = f64::INFINITY;
         let mut any = false;
-        for i in self.ws.w.support() {
-            let wi = self.ws.w.vals()[i];
+        for i in self.w.support() {
+            let wi = self.w.vals()[i];
             let basic_is_artificial = self.kind[self.basis[i]] == VarKind::Artificial;
             let artificial_at_zero = basic_is_artificial && self.xb[i] <= self.opts.feas_tol;
             let delta = self.opts.feas_tol * (1.0 + self.xb[i].abs());
@@ -1137,12 +1032,12 @@ impl Tableau {
         let mut theta = f64::INFINITY;
         let mut strict = f64::INFINITY;
         let mut best_piv = 0.0f64;
-        for i in self.ws.w.support() {
+        for i in self.w.support() {
             let Some(ratio) = self.row_ratio(i) else {
                 continue;
             };
             strict = strict.min(ratio);
-            let wi = self.ws.w.vals()[i];
+            let wi = self.w.vals()[i];
             if ratio <= theta_max && wi.abs() > best_piv {
                 best_piv = wi.abs();
                 leaving = i;
@@ -1165,8 +1060,8 @@ impl Tableau {
     /// backward error of the basic system, computed by scattering the
     /// basis columns against the current basic values (FTRAN-shaped cost).
     fn observe_residual(&mut self) -> f64 {
-        ensure_filled(&mut self.ws.resid, self.m, 0.0, &mut self.ws.alloc_events);
-        let resid = &mut self.ws.resid[..self.m];
+        reset_to(&mut self.resid, self.m, 0.0);
+        let resid = &mut self.resid[..self.m];
         resid.iter_mut().for_each(|v| *v = 0.0);
         for (k, &bv) in self.basis.iter().enumerate() {
             let x = self.xb[k];
@@ -1197,9 +1092,9 @@ impl Tableau {
     /// rung 1 of the recovery ladder refactorizes in place and re-checks
     /// (span `simplex.recovery`); a failure that survives — or any failure
     /// on an already-escalated attempt — marks the solve unstable so the
-    /// driver in [`solve_warm_ws`] climbs to the next rung. The dense last
-    /// rung records the failure and carries on: it has no better kernel to
-    /// hand over to.
+    /// recovery ladder in [`solve_warm`] climbs to the next rung. The
+    /// dense last rung records the failure and carries on: it has no
+    /// better kernel to hand over to.
     fn residual_guard(&mut self) -> Result<(), SolverError> {
         let rel = {
             let _span = ise_obs::Span::enter("simplex.residual_check");
@@ -1224,7 +1119,7 @@ impl Tableau {
             return Ok(());
         }
         self.unstable = true;
-        // Carrier error: solve_warm_ws consumes it (together with the
+        // Carrier error: solve_warm consumes it (together with the
         // `unstable` flag) and re-solves on the next rung; it is never
         // surfaced to callers.
         Err(SolverError::SingularBasis)
@@ -1237,12 +1132,7 @@ impl Tableau {
         self.degenerate_streak = 0;
         self.bland = false;
         self.cursor = 0;
-        ensure_filled(
-            &mut self.ws.weights,
-            self.cols.len(),
-            1.0,
-            &mut self.ws.alloc_events,
-        );
+        reset_to(&mut self.weights, self.cols.len(), 1.0);
     }
 
     /// Effective devex candidate-window size for this program.
@@ -1267,7 +1157,7 @@ impl Tableau {
     #[inline]
     fn reduced_cost(&self, j: usize, cost: &[f64]) -> f64 {
         let mut d = cost[j];
-        let y = self.ws.y.vals();
+        let y = self.y.vals();
         for &(r, a) in &self.cols[j] {
             d -= y[r] * a;
         }
@@ -1320,8 +1210,7 @@ impl Tableau {
             }
             Pricing::Devex => {
                 let window = self.effective_window();
-                self.ws.candidates.clear();
-                let cand_cap = self.ws.candidates.capacity();
+                self.candidates.clear();
                 let start = if self.cursor >= n { 0 } else { self.cursor };
                 let mut examined = 0usize;
                 let mut last = start;
@@ -1337,21 +1226,18 @@ impl Tableau {
                     examined += 1;
                     let d = self.reduced_cost(j, cost);
                     if d < -self.opts.opt_tol {
-                        self.ws.candidates.push((j, d));
+                        self.candidates.push((j, d));
                     }
                     // Keep scanning past the window until at least one
                     // improving candidate has been found; a full wrap with
                     // none certifies optimality.
-                    if examined >= window && !self.ws.candidates.is_empty() {
+                    if examined >= window && !self.candidates.is_empty() {
                         break;
                     }
                 }
-                if self.ws.candidates.capacity() != cand_cap {
-                    self.ws.alloc_events += 1;
-                }
                 self.stats.cols_scanned += examined as u64;
                 self.cursor = if last + 1 >= n { 0 } else { last + 1 };
-                if self.ws.candidates.is_empty() {
+                if self.candidates.is_empty() {
                     self.stats.full_rescans += 1;
                     return None;
                 }
@@ -1362,8 +1248,8 @@ impl Tableau {
                 }
                 let mut entering = usize::MAX;
                 let mut best_score = 0.0f64;
-                for &(j, d) in &self.ws.candidates {
-                    let score = d * d / self.ws.weights[j];
+                for &(j, d) in &self.candidates {
+                    let score = d * d / self.weights[j];
                     if score > best_score {
                         best_score = score;
                         entering = j;
@@ -1382,46 +1268,42 @@ impl Tableau {
     /// columns actually priced this iteration are updated — the classic
     /// partial-pricing compromise.
     fn update_devex_weights(&mut self, entering: usize, leaving_row: usize) {
-        let alpha_q = self.ws.w.vals()[leaving_row];
+        let alpha_q = self.w.vals()[leaving_row];
         if alpha_q.abs() <= self.opts.pivot_tol {
             // pivot() will refactorize instead of pivoting; the weights
             // reset there.
             return;
         }
-        let gamma_q = self.ws.weights[entering].max(1.0);
-        self.factor.row_of_inverse_into(
-            self.m,
-            leaving_row,
-            &mut self.ws.rho,
-            &mut self.ws.alloc_events,
-        );
-        for &(j, _) in &self.ws.candidates {
+        let gamma_q = self.weights[entering].max(1.0);
+        self.factor
+            .row_of_inverse_into(self.m, leaving_row, &mut self.rho);
+        for &(j, _) in &self.candidates {
             if j == entering {
                 continue;
             }
             let mut alpha_j = 0.0;
-            let rho = self.ws.rho.vals();
+            let rho = self.rho.vals();
             for &(r, a) in &self.cols[j] {
                 alpha_j += rho[r] * a;
             }
             let ratio = alpha_j / alpha_q;
             let cand = ratio * ratio * gamma_q;
-            if cand > self.ws.weights[j] {
-                self.ws.weights[j] = cand;
+            if cand > self.weights[j] {
+                self.weights[j] = cand;
             }
         }
         let leaving_var = self.basis[leaving_row];
-        self.ws.weights[leaving_var] = (gamma_q / (alpha_q * alpha_q)).max(1.0);
+        self.weights[leaving_var] = (gamma_q / (alpha_q * alpha_q)).max(1.0);
     }
 
-    /// Pivot on the direction currently held in `ws.w`.
+    /// Pivot on the direction currently held in `w`.
     fn pivot(
         &mut self,
         entering: usize,
         leaving_row: usize,
         theta: f64,
     ) -> Result<(), SolverError> {
-        let piv = self.ws.w.vals()[leaving_row];
+        let piv = self.w.vals()[leaving_row];
         if piv.abs() < self.opts.pivot_tol {
             // Extremely small pivot: rebuild and hope pricing picks a better
             // column next round.
@@ -1430,18 +1312,16 @@ impl Tableau {
         // Update basic values over the direction's tracked support — rows
         // outside it move by exactly zero (the clamp to the feasibility
         // floor only matters for rows the step actually touched).
-        for i in self.ws.w.support() {
+        for i in self.w.support() {
             if i != leaving_row {
-                self.xb[i] = (self.xb[i] - theta * self.ws.w.vals()[i]).max(-self.opts.feas_tol);
+                self.xb[i] = (self.xb[i] - theta * self.w.vals()[i]).max(-self.opts.feas_tol);
             }
         }
         self.xb[leaving_row] = theta;
 
         let timed = matches!(self.factor, Factor::Lu(_));
         let start = timed.then(Instant::now);
-        let applied =
-            self.factor
-                .update_counted(leaving_row, &self.ws.w, &mut self.ws.alloc_events);
+        let applied = self.factor.update(leaving_row, &self.w);
         if let Some(start) = start {
             self.lu_update_time += start.elapsed();
         }
@@ -1474,18 +1354,12 @@ impl Tableau {
             &mut self.basis,
             &self.b,
             &mut self.xb,
-            &mut self.ws.factor,
-            &mut self.ws.alloc_events,
+            &mut self.factor_scratch,
         )?;
         self.pivots_since_refactor = 0;
         self.refactorizations += 1;
         self.degenerate_streak = 0;
-        ensure_filled(
-            &mut self.ws.weights,
-            self.cols.len(),
-            1.0,
-            &mut self.ws.alloc_events,
-        );
+        reset_to(&mut self.weights, self.cols.len(), 1.0);
         Ok(())
     }
 
@@ -1496,12 +1370,7 @@ impl Tableau {
             if self.kind[self.basis[row]] != VarKind::Artificial {
                 continue;
             }
-            self.factor.row_of_inverse_into(
-                self.m,
-                row,
-                &mut self.ws.rho,
-                &mut self.ws.alloc_events,
-            );
+            self.factor.row_of_inverse_into(self.m, row, &mut self.rho);
             let mut found = None;
             'search: for j in 0..self.cols.len() {
                 if self.in_basis[j] || self.kind[j] == VarKind::Artificial {
@@ -1509,7 +1378,7 @@ impl Tableau {
                 }
                 // w_row = (B⁻¹ A_j)[row]
                 let mut w_row = 0.0;
-                let rho = self.ws.rho.vals();
+                let rho = self.rho.vals();
                 for &(r, a) in &self.cols[j] {
                     w_row += a * rho[r];
                 }
@@ -1519,12 +1388,8 @@ impl Tableau {
                 }
             }
             if let Some(j) = found {
-                self.factor.ftran_col_into(
-                    self.m,
-                    &self.cols[j],
-                    &mut self.ws.w,
-                    &mut self.ws.alloc_events,
-                );
+                self.factor
+                    .ftran_col_into(self.m, &self.cols[j], &mut self.w);
                 self.pivot(j, row, 0.0)?;
             }
             // If no pivot exists the row is linearly dependent; the
@@ -1940,61 +1805,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_workspace_makes_resolves_allocation_free() {
-        let ws = WorkspaceHandle::new();
-        let opts = SolveOptions {
-            workspace: Some(ws.clone()),
-            ..SolveOptions::default()
-        };
-        let lp = ring_lp(40);
-        let first = solve(&lp, &opts).unwrap();
-        assert_eq!(first.status, SolveStatus::Optimal);
-        assert!(ws.alloc_events() > 0, "cold solve must grow the workspace");
-
-        // An identical cold re-solve replays the same pivot sequence into
-        // the warmed buffers: zero further allocation events.
-        let before = ws.alloc_events();
-        let second = solve(&lp, &opts).unwrap();
-        assert_eq!(second.iterations, first.iterations);
-        assert_eq!(
-            ws.alloc_events(),
-            before,
-            "steady-state cold re-solve must not allocate in the pivot loop"
-        );
-
-        // Warm re-solves against a perturbed rhs: the first one primes the
-        // refactorization scratch (cold solves above never refactorized),
-        // after which further warm solves are allocation-free.
-        let basis = second.basis.expect("optimal solve returns a basis");
-        let scaled_ring = |scale: f64| {
-            let mut lp = LinearProgram::new();
-            let n = 40;
-            let vars: Vec<usize> = (0..n).map(|i| lp.add_var(1.0 + (i % 7) as f64)).collect();
-            for i in 0..n {
-                lp.add_row(
-                    [(vars[i], 1.0), (vars[(i + 1) % n], 2.0)],
-                    Cmp::Ge,
-                    scale * (3.0 + (i % 5) as f64),
-                );
-            }
-            lp
-        };
-        let prime = solve_warm(&scaled_ring(0.9), &opts, Some(&basis)).unwrap();
-        assert!(prime.warm_used, "scaled rhs keeps the basis feasible");
-        let steady = ws.alloc_events();
-        for scale in [0.8, 0.7, 0.95] {
-            let warm = solve_warm(&scaled_ring(scale), &opts, Some(&basis)).unwrap();
-            assert_eq!(warm.status, SolveStatus::Optimal);
-            assert!(warm.warm_used);
-            assert_eq!(
-                ws.alloc_events(),
-                steady,
-                "warm re-solve must not allocate in the pivot loop"
-            );
-        }
-    }
-
-    #[test]
     fn harris_and_baseline_agree_on_verdict_and_objective() {
         // The two ratio tests may walk different pivot sequences but must
         // land on the same optimum — on well-behaved and on degenerate
@@ -2094,25 +1904,5 @@ mod tests {
         assert_eq!(sol.numerics.recoveries_dantzig, 0);
         assert_eq!(sol.numerics.recoveries_eta, 0);
         assert_eq!(sol.numerics.recoveries_dense, 0);
-    }
-
-    #[test]
-    fn workspace_reuse_does_not_change_results() {
-        let ws = WorkspaceHandle::new();
-        let with_ws = SolveOptions {
-            workspace: Some(ws.clone()),
-            ..SolveOptions::default()
-        };
-        let without = SolveOptions::default();
-        let lp = ring_lp(40);
-        // Prime the workspace with an unrelated solve first: stale contents
-        // must never leak into a later solve.
-        let _ = solve(&budget_lp(3.0), &with_ws).unwrap();
-        let a = solve(&lp, &with_ws).unwrap();
-        let b = solve(&lp, &without).unwrap();
-        assert_eq!(a.iterations, b.iterations);
-        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-        assert_eq!(a.x, b.x);
-        assert_eq!(a.pricing, b.pricing);
     }
 }
