@@ -12,7 +12,7 @@ use ise_sched::baseline::{calibrate_on_demand, lazy_binning};
 use ise_sched::edf::{assign_jobs, mirror};
 use ise_sched::exact::{optimal, ExactOptions};
 use ise_sched::long_window::{schedule_long_windows, LongWindowOptions};
-use ise_sched::lower_bound::lower_bound;
+use ise_sched::lower_bound::{lower_bound, solved_lower_bound};
 use ise_sched::lp::relax_and_solve;
 use ise_sched::points::{calibration_points, calibration_points_with};
 use ise_sched::rounding::{assign_machines, augmented_round, round_calibrations};
@@ -923,7 +923,7 @@ fn i1() {
                 let improved =
                     improve(&inst, &solved.schedule, &ImproveOptions::default()).expect("improve");
                 validate(&inst, &improved.schedule).expect("valid");
-                let bound = lower_bound(&inst, &Default::default());
+                let bound = solved_lower_bound(&inst, &solved);
                 table.row([
                     name.to_string(),
                     format!("{n}"),
@@ -1038,7 +1038,7 @@ fn b2() {
         .expect("feasible");
         validate(&inst, &lazy).unwrap();
         validate(&inst, &demand).unwrap();
-        let bound = lower_bound(&inst, &Default::default());
+        let bound = solved_lower_bound(&inst, &general);
         let row = [
             lazy.num_calibrations(),
             demand.num_calibrations(),

@@ -9,7 +9,7 @@ pub mod perf;
 pub mod session;
 
 use ise_model::{validate, Instance, ScheduleStats};
-use ise_sched::lower_bound::lower_bound;
+use ise_sched::lower_bound::solved_lower_bound;
 use ise_sched::{solve, SolverOptions};
 use std::time::Instant;
 
@@ -38,7 +38,7 @@ pub fn measure(instance: &Instance, opts: &SolverOptions) -> Result<Measurement,
     let millis = start.elapsed().as_secs_f64() * 1e3;
     validate(instance, &outcome.schedule).expect("experiment produced an invalid schedule");
     let stats = ScheduleStats::compute(instance, &outcome.schedule);
-    let bound = lower_bound(instance, &Default::default());
+    let bound = solved_lower_bound(instance, &outcome);
     Ok(Measurement {
         calibrations: stats.calibrations,
         machines: stats.machines,

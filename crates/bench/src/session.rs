@@ -8,9 +8,15 @@
 //! paths, and the per-commit calibration fingerprint. Results serialize to
 //! `BENCH_session.json` at the repo root; [`compare_session`] diffs a
 //! fresh run against that committed baseline with the same generous
-//! threshold the LP suite uses, and additionally gates the *reuse ratio*:
-//! the incremental path must keep reporting at least [`MIN_ITER_RATIO`]×
-//! fewer total LP iterations than from-scratch.
+//! threshold the LP suite uses, and additionally gates two same-run
+//! comparisons:
+//!
+//! * the *reuse ratio*: the incremental path must keep reporting at least
+//!   [`MIN_ITER_RATIO`]× fewer total LP iterations than from-scratch;
+//! * the *commit cost*: `ns_per_commit_incremental` must be below the same
+//!   run's `ns_per_commit_scratch`. Both figures come from one run on one
+//!   machine, so this gate does not depend on the hardware that pinned the
+//!   baseline.
 //!
 //! Timing replays the whole log per rep (a commit cannot be re-measured in
 //! isolation — reuse state is the point) and takes min-of-reps totals.
@@ -270,6 +276,13 @@ pub fn compare_session(
             current.ns_per_commit_incremental, baseline.ns_per_commit_incremental
         ));
     }
+    if current.ns_per_commit_incremental >= current.ns_per_commit_scratch {
+        problems.push(format!(
+            "{name}: {} ns/commit incremental is not below the same run's {} ns/commit \
+             from scratch",
+            current.ns_per_commit_incremental, current.ns_per_commit_scratch
+        ));
+    }
     let iter_limit = (baseline.total_incremental_iters as f64) * threshold;
     if (current.total_incremental_iters as f64) > iter_limit {
         problems.push(format!(
@@ -332,8 +345,35 @@ mod tests {
         let mut bad = report.clone();
         bad.ns_per_commit_incremental = report.ns_per_commit_incremental * 10 + 1;
         bad.iteration_ratio = 1.0;
+        // Ten times slower than the baseline is also slower than the same
+        // run's from-scratch path, so the same-run gate trips too.
         let problems = compare_session(&bad, &report, 2.0);
-        assert_eq!(problems.len(), 2, "{problems:?}");
+        assert_eq!(problems.len(), 3, "{problems:?}");
+    }
+
+    #[test]
+    fn same_run_gate_needs_incremental_below_scratch() {
+        let timed = |incremental: u64, scratch: u64| SessionBenchReport {
+            version: SESSION_BENCH_VERSION,
+            spec: session_spec(),
+            ns_per_commit_incremental: incremental,
+            ns_per_commit_scratch: scratch,
+            total_incremental_iters: 100,
+            total_scratch_iters: 600,
+            iteration_ratio: 6.0,
+            tier_counts: vec![29, 19, 2],
+            commits: Vec::new(),
+        };
+        // Each report is its own baseline, so only the same-run gate can
+        // fire.
+        let slow = timed(6_510_000, 4_430_000);
+        let problems = compare_session(&slow, &slow, 2.0);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("not below"), "{problems:?}");
+        let tie = timed(4_430_000, 4_430_000);
+        assert_eq!(compare_session(&tie, &tie, 2.0).len(), 1);
+        let fast = timed(1_690_000, 3_830_000);
+        assert!(compare_session(&fast, &fast, 2.0).is_empty());
     }
 
     #[test]

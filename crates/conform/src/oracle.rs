@@ -11,7 +11,8 @@
 //! Covered pairs:
 //!
 //! * [`Oracle::Budgets`] — `validate`, `audit`, the lower-bound lattice
-//!   (`calibrations >= lower_bound.best`), and the Lemma 2 trimming factor
+//!   (`calibrations >= lower_bound.best`), the solve report's bounds
+//!   equal to the cold `lower_bound`, and the Lemma 2 trimming factor
 //!   (TISE transform is valid and costs exactly 3×) on long-only inputs.
 //! * [`Oracle::Exact`] — full `solve` vs `exact::optimal` on small
 //!   instances: the optimum never exceeds the heuristic, a feasible
@@ -36,7 +37,8 @@
 //!   delta log derived from `(instance, meta_seed)` replays through
 //!   [`ise_session::Session`], and every commit must match a cold solve
 //!   of the materialized instance: same verdict, same calibration count,
-//!   agreeing LP objectives, schedule validated. Cold-tier commits must
+//!   agreeing LP objectives, report bounds equal to the cold
+//!   `lower_bound`, schedule validated. Cold-tier commits must
 //!   reproduce the cold schedule bit-for-bit (identical code path);
 //!   basis/warm tiers may land on a different optimal LP vertex — the
 //!   same caveat the dense and warm oracles document — so their
@@ -50,7 +52,7 @@ use ise_sched::exact::{optimal, ExactOptions};
 use ise_sched::lower_bound::lower_bound;
 use ise_sched::short_window::GAMMA;
 use ise_sched::tise::to_tise;
-use ise_sched::{audit, solve, SchedError, SolveOutcome, SolverOptions};
+use ise_sched::{audit, solve, SchedError, SolveOutcome, SolveReport, SolverOptions};
 use std::fmt;
 
 /// One member of the oracle stack.
@@ -248,6 +250,15 @@ fn check_budgets(instance: &Instance, base: &Base) -> Result<(), Discrepancy> {
                  (work {}, interval {}, lp {:?})",
                 lb.best, lb.work, lb.interval, lb.lp_long
             ),
+        ));
+    }
+    // The report takes its LP term from the solve's own LP; the cold
+    // recomputation is the arbiter.
+    let reported = SolveReport::new(instance, out).bounds;
+    if reported != lb {
+        return Err(disc(
+            o,
+            format!("solve report bounds {reported:?} differ from the cold bounds {lb:?}"),
         ));
     }
     // Algorithm 1 identity: at threshold 1/2, rounding the fractional
@@ -828,6 +839,19 @@ fn verify_session_commit(
                     format!("commit {commit_idx} ({tier} tier) schedule is invalid: {e}"),
                 )
             })?;
+            // The commit's report reuses the LP it solved (warm or not);
+            // the cold recomputation is the arbiter.
+            let cold_bounds = lower_bound(&materialized, &Default::default());
+            if report.bounds != cold_bounds {
+                return Err(disc(
+                    o,
+                    format!(
+                        "commit {commit_idx} ({tier} tier) report bounds {:?} differ from \
+                         the cold bounds {cold_bounds:?}",
+                        report.bounds
+                    ),
+                ));
+            }
             // Cold commits run the exact pipeline `solve` runs, so the
             // schedule must be bit-identical. Basis/warm commits start the
             // simplex from a cached basis and may stop at a different

@@ -13,9 +13,17 @@
 //!   induces (via Lemma 2) a TISE schedule on `3m` machines with at most
 //!   `3×` the calibrations, and every TISE schedule is LP-feasible, so
 //!   `⌈LP(3m)/3⌉` lower-bounds the ISE optimum.
+//!
+//! `LP(3m)` is exactly the LP the long-window pipeline solves: the same
+//! long jobs, in the same order, on the same `3m` budget. So
+//! [`solved_lower_bound`] takes the LP term from a finished solve.
+//! [`lower_bound`] builds and solves the LP from cold. It serves callers
+//! that have no solve, such as `ise bounds`, and the conformance oracles,
+//! which use it to check the reused term.
 
-use crate::lp::relax_and_solve;
+use crate::lp::{relax_and_solve, FractionalSolution};
 use crate::short_window::GAMMA;
+use crate::solver::SolveOutcome;
 use ise_mm::preemptive_lower_bound;
 use ise_model::{Instance, Job, Time};
 use ise_simplex::SolveOptions;
@@ -33,11 +41,30 @@ pub struct LowerBoundReport {
     pub best: u64,
 }
 
-/// Compute all calibration lower bounds for `instance`.
+/// Compute all calibration lower bounds for `instance`, solving the
+/// long-window LP from cold.
 pub fn lower_bound(instance: &Instance, lp_opts: &SolveOptions) -> LowerBoundReport {
+    with_lp_term(instance, lp_bound(instance, lp_opts))
+}
+
+/// [`lower_bound`] for a finished solve of `instance`: the LP term comes
+/// from the `LP(3m)` the long-window pipeline already solved, so no LP is
+/// solved again. Outcomes that did not solve the instance's own `LP(3m)`
+/// fall back to [`lower_bound`]: a speed-augmented solve ran on a refined
+/// instance, and a decomposed solve keeps no long-window sub-result.
+pub fn solved_lower_bound(instance: &Instance, outcome: &SolveOutcome) -> LowerBoundReport {
+    match &outcome.long {
+        Some(long) if outcome.schedule.speed == 1 => {
+            with_lp_term(instance, Some(lp_term(&long.fractional)))
+        }
+        _ => lower_bound(instance, &Default::default()),
+    }
+}
+
+/// The work and interval bounds of `instance` joined with a given LP term.
+fn with_lp_term(instance: &Instance, lp_long: Option<u64>) -> LowerBoundReport {
     let work = instance.work_lower_bound();
     let interval = interval_bound(instance);
-    let lp_long = lp_bound(instance, lp_opts);
     let best = work.max(interval).max(lp_long.unwrap_or(0));
     LowerBoundReport {
         work,
@@ -90,11 +117,16 @@ fn lp_bound(instance: &Instance, lp_opts: &SolveOptions) -> Option<u64> {
         lp_opts,
     )
     .ok()?;
+    Some(lp_term(&sol))
+}
+
+/// `⌈LP(3m)/3⌉` from a solved `LP(3m)`, with a small float guard.
+fn lp_term(sol: &FractionalSolution) -> u64 {
     // Prefer the dual certificate (a true lower bound on the LP optimum by
     // weak duality, independent of solver behaviour); fall back to the
     // primal objective only when no certificate is available.
     let lp_value = sol.certified_dual_bound.unwrap_or(sol.objective);
-    Some(((lp_value / 3.0) - 1e-6).ceil().max(0.0) as u64)
+    ((lp_value / 3.0) - 1e-6).ceil().max(0.0) as u64
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! displayable summary — what the examples and the experiment harness
 //! print, and what a deployment would log per scheduling run.
 
-use crate::lower_bound::{lower_bound, LowerBoundReport};
+use crate::lower_bound::{solved_lower_bound, LowerBoundReport};
 use crate::solver::SolveOutcome;
 use ise_model::{Instance, ScheduleStats};
 use ise_obs::PhaseTimings;
@@ -139,10 +139,20 @@ pub struct SolveReport {
 }
 
 impl SolveReport {
-    /// Build a report for `outcome` on `instance`.
+    /// Build a report for `outcome` on `instance`. The LP lower bound comes
+    /// from the LP the solve already ran (see [`solved_lower_bound`]).
     pub fn new(instance: &Instance, outcome: &SolveOutcome) -> SolveReport {
+        debug_assert_eq!(
+            outcome.long_jobs,
+            instance
+                .jobs()
+                .iter()
+                .filter(|j| j.is_long(instance.calib_len()))
+                .count(),
+            "the outcome is not a solve of this instance"
+        );
         let stats = ScheduleStats::compute(instance, &outcome.schedule);
-        let bounds = lower_bound(instance, &Default::default());
+        let bounds = solved_lower_bound(instance, outcome);
         let crossing = outcome
             .short
             .as_ref()
@@ -254,7 +264,25 @@ impl fmt::Display for SolveReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{solve, SolverOptions};
+    use crate::decompose::solve_decomposed;
+    use crate::lower_bound::lower_bound;
+    use crate::solver::{solve, solve_with_speed, SolverOptions};
+
+    /// Build the report for `outcome` under a trace; return it with the
+    /// names of the spans it recorded.
+    fn traced_report(inst: &Instance, outcome: &SolveOutcome) -> (SolveReport, Vec<&'static str>) {
+        let trace = ise_obs::Trace::new(1 << 12);
+        let report = {
+            let _guard = trace.install();
+            SolveReport::new(inst, outcome)
+        };
+        let names = trace.drain().iter().map(|r| r.name).collect();
+        (report, names)
+    }
+
+    fn mixed_instance() -> Instance {
+        Instance::new([(0, 40, 7), (5, 50, 6), (0, 12, 6), (20, 33, 8)], 1, 10).unwrap()
+    }
 
     #[test]
     fn report_for_mixed_instance() {
@@ -277,6 +305,43 @@ mod tests {
         assert!(lp.pivots_per_refactor > 0);
         assert!(lp.residual_checks >= 1);
         assert_eq!(lp.recoveries_total(), 0);
+    }
+
+    #[test]
+    fn speed_one_report_reuses_the_solved_lp() {
+        let inst = mixed_instance();
+        let outcome = solve(&inst, &SolverOptions::default()).unwrap();
+        let (report, spans) = traced_report(&inst, &outcome);
+        assert!(
+            !spans.iter().any(|n| *n == "lp.build" || *n == "lp.solve"),
+            "the report solved an LP: {spans:?}"
+        );
+        assert!(report.bounds.lp_long.is_some());
+        assert_eq!(report.bounds, lower_bound(&inst, &Default::default()));
+    }
+
+    #[test]
+    fn speed_augmented_report_solves_the_instance_lp() {
+        // The speed-2 solve ran the LP of the refined instance, which is not
+        // LP(3m) of this one: the report must solve its own.
+        let inst = mixed_instance();
+        let outcome = solve_with_speed(&inst, &SolverOptions::default(), 2).unwrap();
+        let (report, spans) = traced_report(&inst, &outcome);
+        assert!(spans.contains(&"lp.build"), "{spans:?}");
+        assert!(spans.contains(&"lp.solve"), "{spans:?}");
+        assert_eq!(report.bounds, lower_bound(&inst, &Default::default()));
+    }
+
+    #[test]
+    fn decomposed_report_solves_the_instance_lp() {
+        // Two far-apart long bursts: two components, so the outcome keeps no
+        // long-window sub-result and the report falls back to the cold LP.
+        let inst = Instance::new([(0, 30, 5), (500, 530, 5)], 1, 10).unwrap();
+        let outcome = solve_decomposed(&inst, &SolverOptions::default()).unwrap();
+        assert!(outcome.long.is_none());
+        let report = SolveReport::new(&inst, &outcome);
+        assert_eq!(report.bounds.lp_long, Some(1));
+        assert_eq!(report.bounds, lower_bound(&inst, &Default::default()));
     }
 
     #[test]

@@ -32,9 +32,10 @@
 //!
 //! The scheduler uses dotted names grouped by subsystem: `solve.*`
 //! (partition, union/trim), `lp.*` (discretize, trim, build, solve),
-//! `simplex.*` (phase1, phase2, refactor), `long.*` (round, mirror, edf),
-//! `short.*` (partition, mm, emit), and `engine.*` (queue_wait,
-//! cache_probe, solve). See DESIGN.md §10 for the full table.
+//! `simplex.*` (presolve, warm_install, phase1, phase2, refactor),
+//! `long.*` (round, mirror, edf), `short.*` (partition, mm, emit), and
+//! `engine.*` (queue_wait, cache_probe, solve). See DESIGN.md §10 for the
+//! full table.
 
 pub mod ring;
 pub mod tree;

@@ -177,7 +177,10 @@ pub fn solve_with_presolve_warm(
     opts: &SolveOptions,
     warm: Option<&Basis>,
 ) -> Result<Solution, SolverError> {
-    let pre = presolve(lp);
+    let pre = {
+        let _span = ise_obs::Span::enter("simplex.presolve");
+        presolve(lp)
+    };
     if let Some(status) = pre.verdict {
         return Ok(Solution {
             status,

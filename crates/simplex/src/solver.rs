@@ -731,7 +731,10 @@ impl Tableau {
 
     fn run(&mut self, warm: Option<&Basis>) -> Result<Solution, SolverError> {
         let warm_used = match warm {
-            Some(basis) => self.try_install_warm(basis),
+            Some(basis) => {
+                let _span = ise_obs::Span::enter("simplex.warm_install");
+                self.try_install_warm(basis)
+            }
             None => false,
         };
         if self.m > 0 && self.has_artificials && !warm_used {
@@ -1632,6 +1635,24 @@ mod tests {
                 cold.iterations
             );
         });
+    }
+
+    #[test]
+    fn warm_resolve_traces_presolve_and_install() {
+        use crate::presolve::{solve_with_presolve, solve_with_presolve_warm};
+        let opts = SolveOptions::default();
+        let cold = solve_with_presolve(&budget_lp(3.0), &opts).unwrap();
+        let basis = cold.basis.expect("optimal solve returns a basis");
+        let trace = ise_obs::Trace::new(256);
+        let warm = {
+            let _guard = trace.install();
+            solve_with_presolve_warm(&budget_lp(4.0), &opts, Some(&basis)).unwrap()
+        };
+        assert!(warm.warm_used);
+        let names: Vec<&str> = trace.drain().iter().map(|r| r.name).collect();
+        assert!(names.contains(&"simplex.presolve"), "{names:?}");
+        assert!(names.contains(&"simplex.warm_install"), "{names:?}");
+        assert!(!names.contains(&"simplex.phase1"), "{names:?}");
     }
 
     #[test]

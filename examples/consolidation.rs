@@ -11,7 +11,7 @@
 
 use ise::model::{render_gantt, validate, RenderOptions};
 use ise::sched::improve::{improve, ImproveOptions};
-use ise::sched::lower_bound::lower_bound;
+use ise::sched::lower_bound::solved_lower_bound;
 use ise::sched::{audit, solve, SolverOptions};
 use ise::workloads::{uniform, WorkloadParams};
 
@@ -29,7 +29,7 @@ fn main() {
     let instance = uniform(&params, seed);
     let outcome = solve(&instance, &SolverOptions::default()).expect("feasible");
     validate(&instance, &outcome.schedule).expect("valid");
-    let bound = lower_bound(&instance, &Default::default());
+    let bound = solved_lower_bound(&instance, &outcome);
 
     let render = RenderOptions {
         max_width: 84,

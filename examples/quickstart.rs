@@ -5,7 +5,7 @@
 //! ```
 
 use ise::model::{validate, Instance, ScheduleStats};
-use ise::sched::lower_bound::lower_bound;
+use ise::sched::lower_bound::solved_lower_bound;
 use ise::sched::{solve, SolverOptions};
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
     validate(&instance, &outcome.schedule).expect("schedule is feasible");
 
     let stats = ScheduleStats::compute(&instance, &outcome.schedule);
-    let bound = lower_bound(&instance, &Default::default());
+    let bound = solved_lower_bound(&instance, &outcome);
 
     println!(
         "jobs            : {} ({} long, {} short)",

@@ -10,7 +10,7 @@
 //! ```
 
 use ise::model::{validate, ScheduleStats};
-use ise::sched::lower_bound::lower_bound;
+use ise::sched::lower_bound::solved_lower_bound;
 use ise::sched::{solve, SolverOptions};
 use ise::workloads::{stockpile, WorkloadParams};
 
@@ -42,7 +42,7 @@ fn main() {
         Ok(outcome) => {
             validate(&instance, &outcome.schedule).expect("schedule is feasible");
             let stats = ScheduleStats::compute(&instance, &outcome.schedule);
-            let bound = lower_bound(&instance, &Default::default());
+            let bound = solved_lower_bound(&instance, &outcome);
             println!("  long jobs (routine) : {}", outcome.long_jobs);
             println!("  short jobs (urgent) : {}", outcome.short_jobs);
             println!("  calibrations        : {}", stats.calibrations);

@@ -463,6 +463,7 @@ fn trace_prints_span_tree_for_mixed_instance() {
         "lp.trim",
         "lp.discretize",
         "lp.solve",
+        "simplex.presolve",
         "long.round",
         "long.edf",
         "solve.short",

@@ -7,6 +7,8 @@
 //!   heuristic MM;
 //! * calibration lower bounds vs. brute-force ISE optima on tiny
 //!   instances;
+//! * the LP bound a solve report reuses from its own solve vs. the LP
+//!   bound solved again from cold;
 //! * serde round-trips of instances and schedules.
 
 use ise::mm::{
@@ -15,9 +17,11 @@ use ise::mm::{
 };
 use ise::model::{Instance, Schedule, Time};
 use ise::sched::exact::{optimal, ExactOptions};
-use ise::sched::lower_bound::lower_bound;
+use ise::sched::lower_bound::{lower_bound, solved_lower_bound};
+use ise::sched::{solve, SolverOptions};
+use ise::session::{Session, Verdict};
 use ise::simplex::{solve_with_presolve, Cmp, LinearProgram, SolveOptions, SolveStatus};
-use ise::workloads::{short_only, uniform, WorkloadParams};
+use ise::workloads::{short_only, uniform, WorkloadFamily, WorkloadParams};
 
 /// Preemptive feasibility expressed as an LP (the same relaxation the flow
 /// network decides): job work routed into window segments with per-segment
@@ -153,6 +157,56 @@ fn calibration_bounds_never_exceed_brute_force_optimum() {
             bound.best,
             exact.calibrations
         );
+    }
+}
+
+#[test]
+fn reported_bounds_match_cold_bounds() {
+    // Cold solves: every family, so long-only, short-only (no LP term) and
+    // mixed instances all appear.
+    let params = WorkloadParams {
+        jobs: 20,
+        machines: 2,
+        calib_len: 10,
+        horizon: 200,
+    };
+    let mut with_lp = 0;
+    for family in WorkloadFamily::ALL {
+        for seed in 0..3u64 {
+            let inst = family.generate(&params, seed);
+            let Ok(outcome) = solve(&inst, &SolverOptions::default()) else {
+                continue;
+            };
+            let cold = lower_bound(&inst, &Default::default());
+            assert_eq!(
+                solved_lower_bound(&inst, &outcome),
+                cold,
+                "{family:?} seed {seed}"
+            );
+            with_lp += usize::from(cold.lp_long.is_some());
+        }
+    }
+    assert!(with_lp >= 10, "only {with_lp} solves had an LP term");
+
+    // Session commits: basis and warm tiers stop at another optimal vertex
+    // of the same LP, and their reports must still match the cold bound.
+    let spec = ise_bench::session::session_spec();
+    let log = spec.delta_log();
+    let mut session = Session::open(spec.instance());
+    for i in 0..spec.commits {
+        if i > 0 {
+            session.apply(&log[i - 1]).expect("pinned delta applies");
+        }
+        let materialized = session.instance().clone();
+        let commit = session.commit().expect("commit");
+        if let Verdict::Feasible { report, .. } = &commit.verdict {
+            assert_eq!(
+                report.bounds,
+                lower_bound(&materialized, &Default::default()),
+                "commit {i} ({} tier)",
+                commit.telemetry.tier
+            );
+        }
     }
 }
 
