@@ -1,13 +1,11 @@
 //! Criterion bench: the engineering extensions — decomposition vs the
-//! monolithic solver on bursty workloads, and LP presolve effect on the
-//! TISE relaxation (the D1 experiment's runtime counterpart).
+//! monolithic solver on bursty workloads (the D1 experiment's runtime
+//! counterpart).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ise_sched::decompose::solve_decomposed;
-use ise_sched::lp::build;
 use ise_sched::{solve, SolverOptions};
-use ise_simplex::{presolve, solve as lp_solve, solve_with_presolve, SolveOptions};
-use ise_workloads::{long_only, stockpile, WorkloadParams};
+use ise_workloads::{stockpile, WorkloadParams};
 
 fn bench_decompose(c: &mut Criterion) {
     let mut group = c.benchmark_group("decompose_vs_monolithic");
@@ -30,30 +28,5 @@ fn bench_decompose(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_presolve(c: &mut Criterion) {
-    let mut group = c.benchmark_group("tise_lp_presolve");
-    group.sample_size(10);
-    for &n in &[10usize, 20] {
-        let params = WorkloadParams {
-            jobs: n,
-            machines: 2,
-            calib_len: 10,
-            horizon: 25 * n as i64,
-        };
-        let inst = long_only(&params, 7);
-        let tise = build(inst.jobs(), inst.calib_len(), 3 * inst.machines());
-        group.bench_with_input(BenchmarkId::new("raw", n), &tise.lp, |b, lp| {
-            b.iter(|| lp_solve(lp, &SolveOptions::default()).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("presolved", n), &tise.lp, |b, lp| {
-            b.iter(|| solve_with_presolve(lp, &SolveOptions::default()).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("presolve_only", n), &tise.lp, |b, lp| {
-            b.iter(|| presolve(lp))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_decompose, bench_presolve);
+criterion_group!(benches, bench_decompose);
 criterion_main!(benches);

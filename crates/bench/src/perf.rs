@@ -158,7 +158,7 @@ pub fn suite(quick: bool) -> Vec<WorkloadSpec> {
 /// One measured solver configuration on one workload.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct PathMeasurement {
-    /// Min-of-reps wall time per LP solve (presolve + simplex).
+    /// Min-of-reps wall time per LP solve (simplex plus solution checks).
     pub ns_per_solve: u64,
     /// Simplex iterations (deterministic per workload).
     pub iterations: usize,
@@ -202,11 +202,11 @@ impl LuMeasurement {
 pub struct WorkloadResult {
     /// The pinned workload.
     pub spec: WorkloadSpec,
-    /// TISE LP rows (before presolve).
+    /// TISE LP rows, as `lp::build` emits them.
     pub lp_rows: usize,
-    /// TISE LP columns (before presolve).
+    /// TISE LP columns.
     pub lp_cols: usize,
-    /// TISE LP nonzeros (before presolve).
+    /// TISE LP nonzeros.
     pub lp_nnz: usize,
     /// Optimal LP objective (deterministic per workload).
     pub lp_objective: f64,

@@ -14,7 +14,8 @@
 //!    (the forward window; equivalent to the paper's backward form since
 //!    both say "every length-`T` window contains at most `m'` starts");
 //! 2. `X_jt <= C_t`;
-//! 3. `Σ_j X_jt · p_j <= C_t · T`;
+//! 3. `Σ_j X_jt · p_j <= C_t · T`, emitted only at points whose candidate
+//!    jobs total more than `T` work (elsewhere rows (2) imply it);
 //! 4. `Σ_t X_jt = 1` for every job;
 //! 6. nonnegativity (implicit: all LP variables are nonnegative).
 //!
@@ -29,8 +30,8 @@ use crate::error::SchedError;
 use crate::points::{calibration_points, feasible_range};
 use ise_model::{Dur, Job, Time};
 use ise_simplex::{
-    check_dual, check_solution, solve_with_presolve_warm, Basis, Cmp, LinearProgram,
-    NumericsReport, PricingStats, SolveOptions, SolveStatus,
+    check_dual, check_solution, solve_warm, Basis, Cmp, LinearProgram, NumericsReport,
+    PricingStats, SolveOptions, SolveStatus,
 };
 use std::time::Instant;
 
@@ -79,14 +80,14 @@ pub struct FractionalSolution {
     /// Numerical-health telemetry from the simplex: residual-monitor
     /// readings, recovery-ladder activations, ratio-test statistics.
     pub numerics: NumericsReport,
-    /// The optimal basis of the (presolved) LP; feed it back via
+    /// The optimal basis of the LP; feed it back via
     /// [`relax_and_solve_warm`] when re-solving the same jobs with a
     /// perturbed machine budget.
     pub basis: Option<Basis>,
     /// Wall-clock microseconds spent building the LP (0 when the caller
     /// built it separately via [`build`] + [`solve_lp`]).
     pub build_us: u64,
-    /// Wall-clock microseconds spent in presolve + simplex.
+    /// Wall-clock microseconds spent in the simplex.
     pub solve_us: u64,
 }
 
@@ -133,15 +134,23 @@ pub fn build(jobs: &[Job], calib_len: Dur, machine_budget: usize) -> TiseLp {
         }
     }
 
-    // (3) per-point work capacity: Σ_j X_jt p_j - T·C_t <= 0.
+    // (3) per-point work capacity: Σ_j X_jt p_j - T·C_t <= 0, emitted
+    // only where rows (2) do not already imply it. With `X_jt <= C_t`,
+    // `Σ_j X_jt p_j <= C_t · Σ_j p_j`, so the row is redundant whenever
+    // the point's candidate jobs total at most `T` work (this covers an
+    // empty point and a lone `p = T` job). The work sum is exact: ticks
+    // reach `MAX_INSTANCE_TICKS = i64::MAX / 36`, so 37 such jobs
+    // overflow `i64`.
     let mut per_point: Vec<Vec<(usize, f64)>> = vec![Vec::new(); points.len()];
+    let mut work = vec![0i128; points.len()];
     for (j, vars) in x_vars.iter().enumerate() {
         for &(pi, xv) in vars {
             per_point[pi].push((xv, jobs[j].proc.ticks() as f64));
+            work[pi] += i128::from(jobs[j].proc.ticks());
         }
     }
     for (pi, mut coeffs) in per_point.into_iter().enumerate() {
-        if coeffs.is_empty() {
+        if work[pi] <= i128::from(calib_len.ticks()) {
             continue;
         }
         coeffs.push((c_vars[pi], -(calib_len.ticks() as f64)));
@@ -178,7 +187,7 @@ pub fn solve_lp_warm(
 ) -> Result<FractionalSolution, SchedError> {
     let solve_started = Instant::now();
     let lp_span = ise_obs::Span::enter("lp.solve");
-    let sol = solve_with_presolve_warm(&tise.lp, opts, warm)?;
+    let sol = solve_warm(&tise.lp, opts, warm)?;
     drop(lp_span);
     let solve_us = solve_started.elapsed().as_micros() as u64;
     match sol.status {
@@ -261,8 +270,9 @@ pub fn relax_and_solve(
 /// [`CancelToken::interrupt_handle`]), so a deadline aborts a solve
 /// mid-iteration. The warm basis must come from a previous solve of the
 /// **same jobs and calibration length** — the machine budget may differ
-/// (it only changes the LP's right-hand side, and presolve's row structure
-/// is rhs-independent, so the basis carries over and phase 1 is skipped).
+/// (it only changes the right-hand side of rows (1); which rows [`build`]
+/// emits depends only on the jobs and `T`, so the basis carries over and
+/// phase 1 is skipped).
 pub fn relax_and_solve_warm(
     jobs: &[Job],
     calib_len: Dur,
@@ -299,12 +309,13 @@ pub fn relax_and_solve_warm(
 
 /// Rough estimate of the simplex iterations a **cold** solve of the LP
 /// behind `sol` would have spent: phase 1 plus phase 2 each cost on the
-/// order of one pivot per structural row of the TISE LP (one window-capacity
-/// and one work-capacity row per point, one assignment row per job, one
-/// coupling row per retained `X_jt` term). Clamped from below by the actual
-/// iteration count so "iterations saved" reported against this estimate is
-/// never negative. Used by the incremental-session telemetry; the bench
-/// suite reports *measured* cold iterations instead.
+/// order of one pivot per structural row of the TISE LP (per point one
+/// window-capacity row and at most one work-capacity row, both counted; one
+/// assignment row per job; one coupling row per retained `X_jt` term).
+/// Clamped from below by the actual iteration count so "iterations saved"
+/// reported against this estimate is never negative. Used by the
+/// incremental-session telemetry; the bench suite reports *measured* cold
+/// iterations instead.
 pub fn cold_iteration_estimate(sol: &FractionalSolution) -> usize {
     let x_terms: usize = sol.x.iter().map(Vec::len).sum();
     let rows = 2 * sol.points.len() + sol.x.len() + x_terms;
@@ -314,6 +325,7 @@ pub fn cold_iteration_estimate(sol: &FractionalSolution) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ise_simplex::{Factorization, Pricing};
 
     fn opts() -> SolveOptions {
         SolveOptions::default()
@@ -379,6 +391,59 @@ mod tests {
             relax_and_solve(&jobs, Dur(10), 3, &opts()),
             Err(SchedError::Infeasible { .. })
         ));
+        // `build` + `solve_lp` skip that early window check: job 0 has no
+        // TISE-feasible point, so its row (4) is the empty `0 = 1`, which
+        // the simplex must reject on every kernel and pricing rule.
+        let jobs = vec![Job::new(0, 0, 8, 5), Job::new(1, 0, 40, 5)];
+        let tise = build(&jobs, Dur(10), 3);
+        assert!(tise.x_vars[0].is_empty());
+        for factorization in [Factorization::Lu, Factorization::Eta, Factorization::Dense] {
+            for pricing in [Pricing::Dantzig, Pricing::Devex] {
+                let opts = SolveOptions {
+                    factorization,
+                    pricing,
+                    ..SolveOptions::default()
+                };
+                assert!(
+                    matches!(solve_lp(&tise, &opts), Err(SchedError::Infeasible { .. })),
+                    "{factorization:?} / {pricing:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn work_rows_only_where_coupling_rows_do_not_imply_them() {
+        // Row (3) at a point is implied by rows (2) when the point's
+        // candidate jobs total at most T work, so it is emitted exactly at
+        // the points whose work exceeds T.
+        let t = Dur(10);
+        for jobs in [
+            vec![Job::new(0, 0, 40, 5)],
+            vec![Job::new(0, 0, 40, 10)],
+            vec![Job::new(0, 0, 40, 5), Job::new(1, 0, 40, 5)],
+            vec![Job::new(0, 0, 40, 7), Job::new(1, 5, 45, 6)],
+            vec![
+                Job::new(0, 0, 40, 7),
+                Job::new(1, 0, 45, 6),
+                Job::new(2, 5, 50, 7),
+            ],
+        ] {
+            let tise = build(&jobs, t, 3);
+            let mut work = vec![0; tise.points.len()];
+            for (j, vars) in tise.x_vars.iter().enumerate() {
+                for &(pi, _) in vars {
+                    work[pi] += jobs[j].proc.ticks();
+                }
+            }
+            let work_rows = work.iter().filter(|&&w| w > t.ticks()).count();
+            let x_terms: usize = tise.x_vars.iter().map(Vec::len).sum();
+            assert_eq!(
+                tise.lp.num_rows(),
+                tise.points.len() + x_terms + work_rows + jobs.len(),
+                "{jobs:?}"
+            );
+        }
     }
 
     #[test]

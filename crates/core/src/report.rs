@@ -24,7 +24,7 @@ pub struct LpTelemetry {
     pub refactorizations: usize,
     /// Microseconds spent building the TISE LP.
     pub build_us: u64,
-    /// Microseconds spent in presolve + simplex.
+    /// Microseconds spent in the simplex.
     pub solve_us: u64,
     /// Whether the solve was warm-started from a cached basis (phase 1
     /// skipped).
@@ -51,7 +51,7 @@ pub struct LpTelemetry {
     pub last_residual: f64,
     /// Recovery-ladder rung 1 activations (mid-solve refactorization).
     pub recoveries_refactor: u64,
-    /// Recovery-ladder rung 2 activations (tightened pivot tolerance).
+    /// Recovery-ladder rung 2 activations (pivot tolerance raised 100x).
     pub recoveries_tighten: u64,
     /// Recovery-ladder rung 3 activations (Dantzig full pricing).
     pub recoveries_dantzig: u64,

@@ -3,7 +3,7 @@
 //! (`i64::MAX / 36`, the Lemma 13 / Theorem 14 headroom) must solve
 //! cleanly or fail with a typed verdict — never wrap, panic, or abort.
 
-use ise_model::{validate, Instance, InstanceBuilder, MAX_INSTANCE_TICKS};
+use ise_model::{validate, Dur, Instance, InstanceBuilder, Job, MAX_INSTANCE_TICKS};
 use ise_sched::{solve, solve_with_speed, try_refine_for_speed, SchedError, SolverOptions};
 use proptest::prelude::*;
 
@@ -64,6 +64,25 @@ proptest! {
             Err(e) => prop_assert!(false, "unexpected failure class: {e}"),
         }
     }
+}
+
+#[test]
+fn work_row_sums_do_not_overflow_at_the_edge() {
+    // Forty jobs of p = T = MAX_INSTANCE_TICKS share every calibration
+    // point: their work there is 40 · i64::MAX / 36, past i64::MAX. The
+    // LP build must still find it above T and emit each work row (3).
+    let big = MAX_INSTANCE_TICKS;
+    let jobs: Vec<Job> = (0..40).map(|i| Job::new(i, -big, big, big)).collect();
+    let tise = ise_sched::lp::build(&jobs, Dur(big), 3);
+    let x_terms: usize = tise.x_vars.iter().map(Vec::len).sum();
+    let used_points = (0..tise.points.len())
+        .filter(|&pi| tise.x_vars[0].iter().any(|&(p, _)| p == pi))
+        .count();
+    assert!(used_points > 0);
+    assert_eq!(
+        tise.lp.num_rows(),
+        tise.points.len() + x_terms + used_points + jobs.len()
+    );
 }
 
 #[test]

@@ -51,8 +51,8 @@ fn params() -> impl Strategy<Value = (WorkloadParams, u64, u8)> {
         })
 }
 
-/// `uniform` exercises presolve harder (short jobs are filtered out here,
-/// leaving sparser assignment rows); `long_only` keeps every job in the
+/// `uniform` leaves sparser LPs (short jobs are filtered out here, so many
+/// points carry at most `T` work and get no work row (3)); `long_only` keeps every job in the
 /// LP; `ill_conditioned` mixes magnitudes across many orders.
 fn make_instance(p: &WorkloadParams, seed: u64, family: u8) -> ise_model::Instance {
     match family {

@@ -15,8 +15,9 @@
 //! 2. **The LP.** Variables `z_{j,s} >= 0` (job `j` starts at `s`) and the
 //!    machine count `w`; minimize `w` subject to `Σ_s z_{j,s} = 1` and, at
 //!    every event time `t`, `Σ_{(j,s): s <= t < s+p_j} z_{j,s} <= w`.
-//!    The LP optimum lower-bounds the true optimum restricted to the
-//!    candidate set.
+//!    A load row whose active set already has a row is left out, so the
+//!    simplex sees no duplicate rows. The LP optimum lower-bounds the true
+//!    optimum restricted to the candidate set.
 //! 3. **Derandomized rounding.** Each job takes its maximum-mass start
 //!    (ties to the earliest). The chosen starts are fixed intervals, so
 //!    machines = maximum overlap, assigned by the interval sweep.
@@ -28,9 +29,9 @@
 
 use crate::problem::{MachineMinimizer, MmError, MmPlacement, MmSchedule};
 use ise_model::{Job, Time};
-use ise_simplex::{solve_with_presolve, Cmp, LinearProgram, SolveOptions, SolveStatus};
+use ise_simplex::{solve, Cmp, LinearProgram, SolveOptions, SolveStatus};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashSet};
 
 /// LP-rounding machine minimizer.
 #[derive(Clone, Debug, Default)]
@@ -74,39 +75,8 @@ impl MachineMinimizer for LpRoundMm {
             })
             .collect();
 
-        // Build the LP.
-        let mut lp = LinearProgram::new();
-        let w = lp.add_var(1.0);
-        let z: Vec<Vec<usize>> = candidates
-            .iter()
-            .map(|starts| starts.iter().map(|_| lp.add_var(0.0)).collect())
-            .collect();
-        for vars in &z {
-            lp.add_row(vars.iter().map(|&v| (v, 1.0)), Cmp::Eq, 1.0);
-        }
-        // Load constraint at every event time (loads change only there and
-        // at candidate starts; include both).
-        let mut checks: Vec<Time> = events.clone();
-        checks.extend(candidates.iter().flatten().copied());
-        checks.sort_unstable();
-        checks.dedup();
-        for &t in &checks {
-            let mut coeffs: Vec<(usize, f64)> = Vec::new();
-            for (j, starts) in candidates.iter().enumerate() {
-                for (si, &s) in starts.iter().enumerate() {
-                    if s <= t && t < s + jobs[j].proc {
-                        coeffs.push((z[j][si], 1.0));
-                    }
-                }
-            }
-            if !coeffs.is_empty() {
-                coeffs.push((w, -1.0));
-                lp.add_row(coeffs, Cmp::Le, 0.0);
-            }
-        }
-
-        let sol = solve_with_presolve(&lp, &self.lp)
-            .map_err(|_| MmError::BudgetExceeded { budget: 0 })?;
+        let (lp, z) = start_time_lp(jobs, &events, &candidates);
+        let sol = solve(&lp, &self.lp).map_err(|_| MmError::BudgetExceeded { budget: 0 })?;
         if sol.status != SolveStatus::Optimal {
             // The LP is always feasible (one job per machine), so anything
             // else is numerical trouble; fall back to the trivial schedule.
@@ -163,6 +133,51 @@ impl MachineMinimizer for LpRoundMm {
             placements,
         })
     }
+}
+
+/// The start-time LP over `candidates`: variable 0 is the machine count
+/// `w`, and `z[j][k]` is the LP variable of job `j` starting at
+/// `candidates[j][k]`.
+fn start_time_lp(
+    jobs: &[Job],
+    events: &[Time],
+    candidates: &[Vec<Time>],
+) -> (LinearProgram, Vec<Vec<usize>>) {
+    let mut lp = LinearProgram::new();
+    let w = lp.add_var(1.0);
+    let z: Vec<Vec<usize>> = candidates
+        .iter()
+        .map(|starts| starts.iter().map(|_| lp.add_var(0.0)).collect())
+        .collect();
+    for vars in &z {
+        lp.add_row(vars.iter().map(|&v| (v, 1.0)), Cmp::Eq, 1.0);
+    }
+    // Load constraint at every event time (loads change only there and
+    // at candidate starts; include both). A load set that recurs — a job
+    // entering and leaving between two checks — is emitted once, at its
+    // first check.
+    let mut checks: Vec<Time> = events.to_vec();
+    checks.extend(candidates.iter().flatten().copied());
+    checks.sort_unstable();
+    checks.dedup();
+    let mut emitted: HashSet<Vec<usize>> = HashSet::new();
+    for &t in &checks {
+        let mut active: Vec<usize> = Vec::new();
+        for (j, starts) in candidates.iter().enumerate() {
+            for (si, &s) in starts.iter().enumerate() {
+                if s <= t && t < s + jobs[j].proc {
+                    active.push(z[j][si]);
+                }
+            }
+        }
+        if active.is_empty() || emitted.contains(&active) {
+            continue;
+        }
+        let coeffs = active.iter().map(|&v| (v, 1.0)).chain([(w, -1.0)]);
+        lp.add_row(coeffs, Cmp::Le, 0.0);
+        emitted.insert(active);
+    }
+    (lp, z)
 }
 
 #[cfg(test)]
@@ -233,6 +248,22 @@ mod tests {
             lp_total <= 2 * exact_total,
             "lp-round {lp_total} vs exact {exact_total}: more than 2x off"
         );
+    }
+
+    #[test]
+    fn recurring_load_set_is_emitted_once() {
+        // Job 1 starts and ends inside job 0's only execution, so the load
+        // set {job 0} of t = 0 recurs at t = 5, after {job 0, job 1} at
+        // t = 3; it is not adjacent to its first occurrence.
+        let jobs = vec![Job::new(0, 0, 10, 10), Job::new(1, 3, 5, 2)];
+        let events = [0, 3, 5, 10].map(Time);
+        let candidates = vec![vec![Time(0)], vec![Time(3)]];
+        let (lp, _) = start_time_lp(&jobs, &events, &candidates);
+        // Two assignment rows, then the loads at t = 0 and t = 3.
+        assert_eq!(lp.num_rows(), 4);
+        let s = LpRoundMm::default().minimize(&jobs).unwrap();
+        validate_mm(&jobs, &s).unwrap();
+        assert_eq!(s.machines, 2);
     }
 
     #[test]

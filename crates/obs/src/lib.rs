@@ -32,7 +32,8 @@
 //!
 //! The scheduler uses dotted names grouped by subsystem: `solve.*`
 //! (partition, union/trim), `lp.*` (discretize, trim, build, solve),
-//! `simplex.*` (presolve, warm_install, phase1, phase2, refactor),
+//! `simplex.*` (warm_install, phase1, phase2, refactor, pricing,
+//! residual_check, recovery, lu_factor, lu_update),
 //! `long.*` (round, mirror, edf), `short.*` (partition, mm, emit), and
 //! `engine.*` (queue_wait, cache_probe, solve). See DESIGN.md §10 for the
 //! full table.

@@ -16,8 +16,8 @@
 //!   [`SolveOptions::factorization`] as independently implemented
 //!   cross-check oracles,
 //! * **warm starts**: an optimal [`Basis`] can be fed back into
-//!   [`solve_warm`]/[`solve_with_presolve_warm`] to skip phase 1 when
-//!   re-solving the same structure with a perturbed right-hand side,
+//!   [`solve_warm`] to skip phase 1 when re-solving the same structure
+//!   with a perturbed right-hand side,
 //! * cooperative interruption ([`Interrupt`]/[`InterruptHandle`]) polled
 //!   inside the pivot loop, so deadlines can abort a long solve
 //!   mid-iteration,
@@ -38,8 +38,8 @@
 //!   relative tolerances, a residual monitor that re-verifies the basic
 //!   system `‖B·x_B − b‖∞ / (1 + ‖b‖∞)` after refactorizations, every
 //!   [`SolveOptions::check_every`] pivots, and on optimal exit, and an
-//!   automatic five-rung recovery ladder (refactorize → tighten pivot
-//!   tolerance → Dantzig pricing → eta kernel → dense kernel) when the
+//!   automatic five-rung recovery ladder (refactorize → raise the pivot
+//!   tolerance 100x → Dantzig pricing → eta kernel → dense kernel) when the
 //!   residual exceeds [`SolveOptions::residual_tol`] — all reported per
 //!   solve in [`NumericsReport`].
 //!
@@ -48,19 +48,21 @@
 //! explicit tolerances so downstream consumers never trust the solver
 //! blindly.
 //!
+//! A program goes to the simplex exactly as built, with no reduction pass
+//! first; the two phases settle its empty rows, duplicates, and unused
+//! variables.
+//!
 //! This is a general-purpose small/medium LP solver: it is sized for the
 //! TISE relaxation (thousands of rows/columns), not for industrial LPs with
 //! millions of nonzeros.
 
 pub mod factor;
 mod lu;
-pub mod presolve;
 pub mod problem;
 pub mod solver;
 pub mod verify;
 
 pub use factor::{FactorStats, Factorization, SpVec};
-pub use presolve::{presolve, solve_with_presolve, solve_with_presolve_warm, Presolved};
 pub use problem::{Cmp, LinearProgram, Row};
 pub use solver::{
     solve, solve_warm, Basis, Interrupt, InterruptHandle, NumericsReport, Pricing, PricingStats,

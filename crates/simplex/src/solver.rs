@@ -64,8 +64,7 @@ pub enum SolveStatus {
 /// solve of a structurally identical program (same rows, variables, and
 /// constraint senses — only the right-hand side and costs may differ).
 ///
-/// Obtained from [`Solution::basis`]; consumed by [`solve_warm`] and
-/// [`crate::solve_with_presolve_warm`].
+/// Obtained from [`Solution::basis`]; consumed by [`solve_warm`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Basis {
     /// Basic variable per row, in standard-form indexing.
@@ -224,8 +223,9 @@ pub struct NumericsReport {
     /// Rung 1 activations: immediate mid-solve refactorizations forced by
     /// a residual above [`SolveOptions::residual_tol`].
     pub recoveries_refactor: u64,
-    /// Rung 2 activations: full re-solves with the pivot tolerance
-    /// tightened by `1e-2`.
+    /// Rung 2 activations: full re-solves with the pivot tolerance raised
+    /// 100x, so the ratio test and the pivot guard reject the small pivots
+    /// a residual failure points to.
     pub recoveries_tighten: u64,
     /// Rung 3 activations: full re-solves under Dantzig full pricing.
     pub recoveries_dantzig: u64,
@@ -412,31 +412,18 @@ pub fn solve_warm(
     // out singular), each further attempt re-solves from scratch with a
     // progressively more conservative configuration. The final (dense)
     // rung never escalates, so the ladder always terminates.
-    let mut eff = opts.clone();
     let mut carry = NumericsReport::default();
     for escalation in 0u8..=4 {
         if escalation > 0 {
             let _span = ise_obs::Span::enter("simplex.recovery");
             match escalation {
-                1 => {
-                    eff.pivot_tol = (opts.pivot_tol * 1e-2).max(1e-14);
-                    carry.recoveries_tighten += 1;
-                }
-                2 => {
-                    eff.pricing = Pricing::Dantzig;
-                    carry.recoveries_dantzig += 1;
-                }
-                3 => {
-                    eff.factorization = Factorization::Eta;
-                    carry.recoveries_eta += 1;
-                }
-                _ => {
-                    eff.factorization = Factorization::Dense;
-                    carry.recoveries_dense += 1;
-                }
+                1 => carry.recoveries_tighten += 1,
+                2 => carry.recoveries_dantzig += 1,
+                3 => carry.recoveries_eta += 1,
+                _ => carry.recoveries_dense += 1,
             }
         }
-        let mut tableau = Tableau::build(lp, eff.clone());
+        let mut tableau = Tableau::build(lp, rung_options(opts, escalation));
         tableau.escalation = escalation;
         let out = tableau.run(warm);
         let climb = tableau.unstable || matches!(out, Err(SolverError::SingularBasis));
@@ -458,6 +445,26 @@ pub fn solve_warm(
         });
     }
     unreachable!("the dense rung of the recovery ladder always returns")
+}
+
+/// Options for attempt `escalation` of the recovery ladder (0 = the
+/// caller's own; attempt `k > 0` runs rung `k + 1`, since rung 1 is the
+/// in-loop refactorization). Each rung keeps the earlier rungs' changes.
+fn rung_options(opts: &SolveOptions, escalation: u8) -> SolveOptions {
+    let mut eff = opts.clone();
+    if escalation >= 1 {
+        eff.pivot_tol = opts.pivot_tol * 1e2;
+    }
+    if escalation >= 2 {
+        eff.pricing = Pricing::Dantzig;
+    }
+    if escalation >= 3 {
+        eff.factorization = Factorization::Eta;
+    }
+    if escalation >= 4 {
+        eff.factorization = Factorization::Dense;
+    }
+    eff
 }
 
 /// Variable classes in the standard-form program.
@@ -1564,16 +1571,59 @@ mod tests {
 
     #[test]
     fn no_rows_negative_cost_is_unbounded() {
-        let mut lp = LinearProgram::new();
-        lp.add_var(-1.0);
-        let sol = solve(&lp, &SolveOptions::default()).unwrap();
-        assert_eq!(sol.status, SolveStatus::Unbounded);
+        // A variable in no row: a negative cost is an unbounded ray,
+        // with or without other rows; a nonnegative cost leaves it at 0.
+        all_modes(|opts| {
+            let mut lp = LinearProgram::new();
+            lp.add_var(-1.0);
+            let sol = solve(&lp, &opts).unwrap();
+            assert_eq!(sol.status, SolveStatus::Unbounded);
+
+            let mut lp = LinearProgram::new();
+            lp.add_var(-1.0);
+            let y = lp.add_var(1.0);
+            lp.add_row([(y, 1.0)], Cmp::Ge, 1.0);
+            let sol = solve(&lp, &opts).unwrap();
+            assert_eq!(sol.status, SolveStatus::Unbounded);
+
+            let mut lp = LinearProgram::new();
+            let x = lp.add_var(0.5);
+            let y = lp.add_var(1.0);
+            lp.add_row([(y, 1.0)], Cmp::Ge, 1.0);
+            let sol = solve(&lp, &opts).unwrap();
+            assert_eq!(sol.status, SolveStatus::Optimal);
+            assert_close(sol.objective, 1.0, 1e-6);
+            assert_close(sol.x[x], 0.0, 1e-9);
+        });
     }
 
     #[test]
-    fn redundant_equalities_are_handled() {
-        // Duplicate equality rows leave an artificial basic at zero.
-        both_paths(|opts| {
+    fn empty_rows_decide_only_when_violated() {
+        all_modes(|opts| {
+            // `0 >= 3` cannot hold.
+            let mut lp = LinearProgram::new();
+            let x = lp.add_var(1.0);
+            lp.add_row([(x, 0.0)], Cmp::Ge, 3.0);
+            lp.add_row([(x, 1.0)], Cmp::Ge, 2.0);
+            let sol = solve(&lp, &opts).unwrap();
+            assert_eq!(sol.status, SolveStatus::Infeasible);
+
+            // `0 <= 5` always holds and changes nothing.
+            let mut lp = LinearProgram::new();
+            let x = lp.add_var(1.0);
+            lp.add_row([(x, 0.0)], Cmp::Le, 5.0);
+            lp.add_row([(x, 1.0)], Cmp::Ge, 2.0);
+            let sol = solve(&lp, &opts).unwrap();
+            assert_eq!(sol.status, SolveStatus::Optimal);
+            assert_close(sol.objective, 2.0, 1e-6);
+            assert_eq!(sol.duals.len(), 2);
+        });
+    }
+
+    #[test]
+    fn redundant_rows_are_handled() {
+        all_modes(|opts| {
+            // Duplicate equality rows leave an artificial basic at zero.
             let mut lp = LinearProgram::new();
             let x = lp.add_var(1.0);
             let y = lp.add_var(1.0);
@@ -1583,6 +1633,24 @@ mod tests {
             let sol = solve(&lp, &opts).unwrap();
             assert_eq!(sol.status, SolveStatus::Optimal);
             assert_close(sol.objective, 2.0, 1e-6);
+
+            // Conflicting equalities `x = 2`, `x = 3`.
+            let mut lp = LinearProgram::new();
+            let x = lp.add_var(1.0);
+            lp.add_row([(x, 1.0)], Cmp::Eq, 2.0);
+            lp.add_row([(x, 1.0)], Cmp::Eq, 3.0);
+            let sol = solve(&lp, &opts).unwrap();
+            assert_eq!(sol.status, SolveStatus::Infeasible);
+
+            // Scaled duplicate inequalities: the tightest binds.
+            let mut lp = LinearProgram::new();
+            let x = lp.add_var(-1.0);
+            lp.add_row([(x, 1.0)], Cmp::Le, 9.0);
+            lp.add_row([(x, 1.0)], Cmp::Le, 4.0);
+            lp.add_row([(x, 2.0)], Cmp::Le, 20.0);
+            let sol = solve(&lp, &opts).unwrap();
+            assert_eq!(sol.status, SolveStatus::Optimal);
+            assert_close(sol.x[x], 4.0, 1e-6);
         });
     }
 
@@ -1638,19 +1706,17 @@ mod tests {
     }
 
     #[test]
-    fn warm_resolve_traces_presolve_and_install() {
-        use crate::presolve::{solve_with_presolve, solve_with_presolve_warm};
+    fn warm_resolve_traces_install() {
         let opts = SolveOptions::default();
-        let cold = solve_with_presolve(&budget_lp(3.0), &opts).unwrap();
+        let cold = solve(&budget_lp(3.0), &opts).unwrap();
         let basis = cold.basis.expect("optimal solve returns a basis");
         let trace = ise_obs::Trace::new(256);
         let warm = {
             let _guard = trace.install();
-            solve_with_presolve_warm(&budget_lp(4.0), &opts, Some(&basis)).unwrap()
+            solve_warm(&budget_lp(4.0), &opts, Some(&basis)).unwrap()
         };
         assert!(warm.warm_used);
         let names: Vec<&str> = trace.drain().iter().map(|r| r.name).collect();
-        assert!(names.contains(&"simplex.presolve"), "{names:?}");
         assert!(names.contains(&"simplex.warm_install"), "{names:?}");
         assert!(!names.contains(&"simplex.phase1"), "{names:?}");
     }
@@ -1875,6 +1941,25 @@ mod tests {
             sol.numerics.residual_checks
         );
         assert!(sol.numerics.max_residual <= opts.residual_tol);
+    }
+
+    #[test]
+    fn stability_rung_raises_the_pivot_tolerance() {
+        let opts = SolveOptions::default();
+        assert_eq!(rung_options(&opts, 0).pivot_tol, opts.pivot_tol);
+        for escalation in 1..=4 {
+            let rung = rung_options(&opts, escalation);
+            assert!(
+                rung.pivot_tol > opts.pivot_tol,
+                "attempt {escalation} admits smaller pivots: {} vs {}",
+                rung.pivot_tol,
+                opts.pivot_tol
+            );
+        }
+        assert_eq!(rung_options(&opts, 1).pricing, opts.pricing);
+        assert_eq!(rung_options(&opts, 2).pricing, Pricing::Dantzig);
+        assert_eq!(rung_options(&opts, 3).factorization, Factorization::Eta);
+        assert_eq!(rung_options(&opts, 4).factorization, Factorization::Dense);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! `lp_equivalence.rs` covers the TISE LP family.)
 
 use ise_simplex::{
-    check_dual, check_solution, solve_with_presolve, Cmp, Factorization, LinearProgram, Pricing,
-    SolveOptions, SolveStatus,
+    check_dual, check_solution, solve, Cmp, Factorization, LinearProgram, Pricing, SolveOptions,
+    SolveStatus,
 };
 use proptest::prelude::*;
 
@@ -73,10 +73,9 @@ proptest! {
 
     #[test]
     fn lu_eta_and_dense_agree_on_random_lps(lp in random_lp()) {
-        let lu = solve_with_presolve(&lp, &kernel_opts(Factorization::Lu)).expect("lu solve");
+        let lu = solve(&lp, &kernel_opts(Factorization::Lu)).expect("lu solve");
         for oracle_kind in [Factorization::Eta, Factorization::Dense] {
-            let oracle =
-                solve_with_presolve(&lp, &kernel_opts(oracle_kind)).expect("oracle solve");
+            let oracle = solve(&lp, &kernel_opts(oracle_kind)).expect("oracle solve");
             prop_assert_eq!(lu.status, oracle.status, "{:?}", oracle_kind);
             if lu.status != SolveStatus::Optimal {
                 continue;
@@ -104,11 +103,11 @@ proptest! {
     /// basis.
     #[test]
     fn ft_updates_agree_with_per_pivot_refactorization(lp in random_lp()) {
-        let updates = solve_with_presolve(&lp, &SolveOptions {
+        let updates = solve(&lp, &SolveOptions {
             refactor_every: 100_000,
             ..SolveOptions::default()
         }).expect("ft solve");
-        let refactors = solve_with_presolve(&lp, &SolveOptions {
+        let refactors = solve(&lp, &SolveOptions {
             refactor_every: 1,
             ..SolveOptions::default()
         }).expect("refactor solve");
@@ -130,8 +129,8 @@ proptest! {
     /// programs both solutions must verify and reach the same objective.
     #[test]
     fn devex_and_dantzig_agree_on_random_lps(lp in random_lp()) {
-        let devex = solve_with_presolve(&lp, &SolveOptions::default()).expect("devex solve");
-        let dantzig = solve_with_presolve(&lp, &dantzig_opts()).expect("dantzig solve");
+        let devex = solve(&lp, &SolveOptions::default()).expect("devex solve");
+        let dantzig = solve(&lp, &dantzig_opts()).expect("dantzig solve");
         prop_assert_eq!(devex.status, dantzig.status);
         if devex.status != SolveStatus::Optimal {
             return Ok(());

@@ -6,13 +6,10 @@
 //! `μ_j >= 0` only where `x*_j = 0`. Then `x*` is primal feasible, `(λ, μ)`
 //! is a feasible dual certificate with zero complementary slackness gap, so
 //! the optimum value is exactly `cᵀx*`. Loose redundant constraints are
-//! sprinkled in to exercise pruning paths; the solver (with and without
-//! presolve) must recover the optimal value to tolerance.
+//! sprinkled in to exercise redundant rows; the solver must recover the
+//! optimal value to tolerance.
 
-use ise_simplex::{
-    check_solution, presolve, solve, solve_with_presolve, Cmp, LinearProgram, SolveOptions,
-    SolveStatus,
-};
+use ise_simplex::{check_solution, solve, Cmp, LinearProgram, SolveOptions, SolveStatus};
 use proptest::prelude::*;
 
 /// Sparse row under construction: coefficients, comparison, rhs.
@@ -124,33 +121,6 @@ proptest! {
         );
         // And weak duality against the known optimum.
         prop_assert!(dual_obj <= known.optimum + 1e-5 * scale);
-    }
-
-    #[test]
-    fn presolved_duals_remain_feasible(known in known_lp()) {
-        let sol = solve_with_presolve(&known.lp, &SolveOptions::default()).expect("solve");
-        prop_assert_eq!(sol.status, SolveStatus::Optimal);
-        let dual_obj = ise_simplex::check_dual(&known.lp, &sol.duals, 1e-5)
-            .map_err(|v| TestCaseError::fail(format!("dual infeasible after presolve: {v:?}")))?;
-        let scale = 1.0 + sol.objective.abs();
-        prop_assert!((dual_obj - sol.objective).abs() <= 1e-5 * scale);
-    }
-
-    #[test]
-    fn presolve_never_changes_the_optimum(known in known_lp()) {
-        let plain = solve(&known.lp, &SolveOptions::default()).expect("solve");
-        let pre = solve_with_presolve(&known.lp, &SolveOptions::default()).expect("presolved");
-        prop_assert_eq!(plain.status, SolveStatus::Optimal);
-        prop_assert_eq!(pre.status, SolveStatus::Optimal);
-        let scale = 1.0 + plain.objective.abs();
-        prop_assert!((plain.objective - pre.objective).abs() <= 1e-6 * scale);
-    }
-
-    #[test]
-    fn presolve_only_removes(known in known_lp()) {
-        let pre = presolve(&known.lp);
-        prop_assert!(pre.lp.num_rows() <= known.lp.num_rows());
-        prop_assert_eq!(pre.lp.num_vars(), known.lp.num_vars());
     }
 }
 

@@ -463,7 +463,6 @@ fn trace_prints_span_tree_for_mixed_instance() {
         "lp.trim",
         "lp.discretize",
         "lp.solve",
-        "simplex.presolve",
         "long.round",
         "long.edf",
         "solve.short",

@@ -9,6 +9,8 @@
 //!   instances;
 //! * the LP bound a solve report reuses from its own solve vs. the LP
 //!   bound solved again from cold;
+//! * the TISE LP as built (implied work rows omitted) vs. the paper's
+//!   full LP with every work row restored;
 //! * serde round-trips of instances and schedules.
 
 use ise::mm::{
@@ -18,9 +20,12 @@ use ise::mm::{
 use ise::model::{Instance, Schedule, Time};
 use ise::sched::exact::{optimal, ExactOptions};
 use ise::sched::lower_bound::{lower_bound, solved_lower_bound};
+use ise::sched::lp::build;
 use ise::sched::{solve, SolverOptions};
 use ise::session::{Session, Verdict};
-use ise::simplex::{solve_with_presolve, Cmp, LinearProgram, SolveOptions, SolveStatus};
+use ise::simplex::{
+    check_solution, solve as lp_solve, Cmp, LinearProgram, SolveOptions, SolveStatus,
+};
 use ise::workloads::{short_only, uniform, WorkloadFamily, WorkloadParams};
 
 /// Preemptive feasibility expressed as an LP (the same relaxation the flow
@@ -74,7 +79,7 @@ fn preemptive_feasible_lp(jobs: &[ise::model::Job], w: usize) -> bool {
             lp.add_row(coeffs, Cmp::Le, (w as i64 * (e - s).ticks()) as f64);
         }
     }
-    let sol = solve_with_presolve(&lp, &SolveOptions::default()).expect("lp solves");
+    let sol = lp_solve(&lp, &SolveOptions::default()).expect("lp solves");
     sol.status == SolveStatus::Optimal
 }
 
@@ -208,6 +213,73 @@ fn reported_bounds_match_cold_bounds() {
             );
         }
     }
+}
+
+#[test]
+fn omitted_work_rows_are_implied() {
+    // `lp::build` leaves out the work rows (3) that rows (2) imply.
+    // Restoring every paper row (3) onto a clone of the built LP gives the
+    // paper's full LP (emitted work rows then appear twice, which changes
+    // nothing). The built LP's optimum must be feasible for it and match
+    // its optimum.
+    let params = WorkloadParams {
+        jobs: 20,
+        machines: 2,
+        calib_len: 10,
+        horizon: 200,
+    };
+    let opts = SolveOptions::default();
+    let mut omitted = 0;
+    for family in WorkloadFamily::ALL {
+        for seed in 0..3u64 {
+            let inst = family.generate(&params, seed);
+            let jobs = inst.partition_long_short().0;
+            if jobs.is_empty() {
+                continue;
+            }
+            let t = inst.calib_len().ticks() as f64;
+            let tise = build(&jobs, inst.calib_len(), 3 * inst.machines());
+            let mut full = tise.lp.clone();
+            let mut work: Vec<Vec<(usize, f64)>> = vec![Vec::new(); tise.points.len()];
+            for (vars, job) in tise.x_vars.iter().zip(&jobs) {
+                for &(pi, xv) in vars {
+                    work[pi].push((xv, job.proc.ticks() as f64));
+                }
+            }
+            let mut restored = 0;
+            for (pi, coeffs) in work.into_iter().enumerate() {
+                if !coeffs.is_empty() {
+                    full.add_row(
+                        coeffs.into_iter().chain([(tise.c_vars[pi], -t)]),
+                        Cmp::Le,
+                        0.0,
+                    );
+                    restored += 1;
+                }
+            }
+            let x_terms: usize = tise.x_vars.iter().map(Vec::len).sum();
+            let emitted = tise.lp.num_rows() - tise.points.len() - x_terms - jobs.len();
+            omitted += restored - emitted;
+
+            let reduced = lp_solve(&tise.lp, &opts).expect("built LP solves");
+            let paper = lp_solve(&full, &opts).expect("full LP solves");
+            let case = format!("{family:?} seed {seed}");
+            assert_eq!(reduced.status, paper.status, "{case}");
+            if reduced.status != SolveStatus::Optimal {
+                continue;
+            }
+            let violations = check_solution(&full, &reduced.x, 1e-6);
+            assert!(violations.is_empty(), "{case}: {violations:?}");
+            assert!(
+                (reduced.objective - paper.objective).abs()
+                    <= 1e-6 * paper.objective.abs().max(1.0),
+                "{case}: built LP {} vs full LP {}",
+                reduced.objective,
+                paper.objective
+            );
+        }
+    }
+    assert!(omitted > 0, "the sweep omitted no work row");
 }
 
 #[test]
