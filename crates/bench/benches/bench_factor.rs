@@ -3,8 +3,8 @@
 //! 25%, and 100% of the basis dimension, plus a refactorize/update
 //! comparison. This is where the hyper-sparse (Gilbert–Peierls) paths
 //! show their payoff: at low densities the LU kernel touches only the
-//! reach of the input support, while the eta and dense kernels always
-//! walk the full dimension.
+//! reach of the input support, while the eta kernel always walks the
+//! full dimension.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ise_simplex::factor::Factor;
@@ -70,7 +70,7 @@ fn factored(kind: Factorization, cols: &[Vec<(usize, f64)>]) -> (Factor, Vec<usi
 fn bench_ftran(c: &mut Criterion) {
     let cols = random_cols(M, 41);
     let mut group = c.benchmark_group("factor_ftran");
-    for kind in [Factorization::Lu, Factorization::Eta, Factorization::Dense] {
+    for kind in [Factorization::Lu, Factorization::Eta] {
         let (mut f, _) = factored(kind, &cols);
         for pct in DENSITIES_PCT {
             let col = rhs(M, (M * pct).div_ceil(100), 7 + pct as u64);
@@ -90,7 +90,7 @@ fn bench_ftran(c: &mut Criterion) {
 fn bench_btran(c: &mut Criterion) {
     let cols = random_cols(M, 43);
     let mut group = c.benchmark_group("factor_btran");
-    for kind in [Factorization::Lu, Factorization::Eta, Factorization::Dense] {
+    for kind in [Factorization::Lu, Factorization::Eta] {
         let (mut f, _) = factored(kind, &cols);
         for pct in DENSITIES_PCT {
             let mut y = vec![0.0; M];
@@ -101,7 +101,7 @@ fn bench_btran(c: &mut Criterion) {
             let id = BenchmarkId::new(format!("{kind:?}").to_lowercase(), format!("{pct}pct"));
             group.bench_with_input(id, &y, |bench, y| {
                 bench.iter(|| {
-                    f.btran_into(M, y, &mut out);
+                    f.btran_into(y, &mut out);
                     out.nnz()
                 })
             });

@@ -1,12 +1,12 @@
 //! Criterion bench: the LP hot path in isolation — LU versus eta-file
-//! versus dense-inverse factorization, devex versus Dantzig pricing, and
-//! cold versus warm-started solves.
+//! factorization, devex versus Dantzig pricing, and cold versus
+//! warm-started solves.
 //! The `ise bench` CLI suite (`BENCH_lp.json`) is the pinned regression
 //! gate; this bench is for interactive profiling of the same
 //! configurations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ise_bench::perf::{suite, DENSE_COL_CAP};
+use ise_bench::perf::suite;
 use ise_sched::lp::{build, solve_lp_warm};
 use ise_simplex::{Factorization, Pricing, SolveOptions};
 
@@ -21,12 +21,8 @@ fn bench_cold(c: &mut Criterion) {
             ("lu_devex", Factorization::Lu, Pricing::Devex),
             ("eta_devex", Factorization::Eta, Pricing::Devex),
             ("lu_dantzig", Factorization::Lu, Pricing::Dantzig),
-            ("dense", Factorization::Dense, Pricing::Dantzig),
         ];
         for (path, factorization, pricing) in paths {
-            if factorization == Factorization::Dense && tise.lp.num_vars() > DENSE_COL_CAP {
-                continue;
-            }
             let opts = SolveOptions {
                 factorization,
                 pricing,

@@ -2,8 +2,8 @@
 //!
 //! A fixed set of seeded workloads is measured on the LP hot path — the
 //! LU (Markowitz + Forrest–Tomlin) simplex that production runs, the
-//! eta-file and dense-inverse oracle kernels, and a warm-started re-solve
-//! at a perturbed machine budget — plus an end-to-end solve for
+//! eta-file cross-check kernel, Dantzig pricing, and a warm-started
+//! re-solve at a perturbed machine budget — plus an end-to-end solve for
 //! the calibration count. Results serialize to `BENCH_lp.json` at the repo
 //! root; [`compare`] diffs a fresh run against that committed baseline and
 //! reports regressions beyond a threshold, which is what the CI step
@@ -37,7 +37,10 @@ use std::time::Instant;
 /// eta-file kernel is measured separately (`eta`); wide workloads can pin
 /// an LU-vs-eta wall-time speedup floor and a hyper-sparse solve-ratio
 /// floor.
-pub const BENCH_VERSION: u32 = 3;
+///
+/// v4: the dense-inverse kernel is gone, and with it the optional `dense`
+/// measurement; the eta file is the one cross-check kernel.
+pub const BENCH_VERSION: u32 = 4;
 
 /// Default regression threshold for [`compare`]: fail when a measurement
 /// exceeds `threshold ×` its baseline. Generous on purpose — wall time is
@@ -221,9 +224,6 @@ pub struct WorkloadResult {
     /// LU simplex under Dantzig (full-scan) pricing, cold start — the
     /// pricing baseline devex is compared against.
     pub dantzig: PathMeasurement,
-    /// Dense-inverse oracle, cold start. `None` on workloads whose LP is
-    /// too wide for the explicit inverse to be worth timing.
-    pub dense: Option<PathMeasurement>,
     /// LU simplex warm-started from the cold solve's basis, at a machine
     /// budget perturbed by +1 (phase 1 skipped).
     pub warm: PathMeasurement,
@@ -272,7 +272,7 @@ fn time_solves(
 
 /// Measure a single basis kernel (under devex pricing, cold start) on one
 /// workload — the `ise bench --factorization` profiling path. The LU
-/// telemetry fields are zero for the eta and dense kernels.
+/// telemetry fields are zero for the eta kernel.
 pub fn measure_kernel(
     spec: &WorkloadSpec,
     kind: ise_simplex::Factorization,
@@ -298,11 +298,6 @@ pub fn measure_kernel(
     })
 }
 
-/// Column count above which the dense explicit-inverse oracle is skipped:
-/// its per-iteration cost is quadratic in the basis size, so timing it on
-/// the wide pricing workload would dominate the whole suite.
-pub const DENSE_COL_CAP: usize = 4000;
-
 /// Measure one workload: LP shape, cold solves on each basis kernel, a
 /// warm re-solve at budget `3m + 1`, and the end-to-end calibration count.
 pub fn measure_workload(spec: &WorkloadSpec, reps: usize) -> Result<WorkloadResult, String> {
@@ -320,11 +315,6 @@ pub fn measure_workload(spec: &WorkloadSpec, reps: usize) -> Result<WorkloadResu
         ..LpOptions::default()
     };
     let dantzig_opts = LpOptions {
-        pricing: ise_simplex::Pricing::Dantzig,
-        ..LpOptions::default()
-    };
-    let dense_opts = LpOptions {
-        factorization: ise_simplex::Factorization::Dense,
         pricing: ise_simplex::Pricing::Dantzig,
         ..LpOptions::default()
     };
@@ -352,21 +342,6 @@ pub fn measure_workload(spec: &WorkloadSpec, reps: usize) -> Result<WorkloadResu
             spec.name, cold_sol.objective, dantzig_sol.objective
         ));
     }
-
-    let dense = if tise.lp.num_vars() <= DENSE_COL_CAP {
-        let (dense, dense_sol) = time_solves(&tise, &dense_opts, None, reps)?;
-        if (cold_sol.objective - dense_sol.objective).abs()
-            > 1e-6 * (1.0 + cold_sol.objective.abs())
-        {
-            return Err(format!(
-                "workload {}: lu/dense objectives disagree ({} vs {})",
-                spec.name, cold_sol.objective, dense_sol.objective
-            ));
-        }
-        Some(dense)
-    } else {
-        None
-    };
 
     // Warm re-solve: same jobs, machine budget perturbed by +1 — the
     // rhs-only change the basis cache is built for.
@@ -396,7 +371,6 @@ pub fn measure_workload(spec: &WorkloadSpec, reps: usize) -> Result<WorkloadResu
         lu,
         eta,
         dantzig,
-        dense,
         warm,
     })
 }
@@ -480,16 +454,6 @@ pub fn compare(current: &BenchReport, baseline: &BenchReport, threshold: f64) ->
                 "{name}/lu: fill-in {} nnz exceeds {threshold}x baseline ({} nnz)",
                 cur.lu.fill_nnz, base.lu.fill_nnz
             ));
-        }
-        if let (Some(cur_dense), Some(base_dense)) = (&cur.dense, &base.dense) {
-            check_path(
-                &mut problems,
-                name,
-                "dense",
-                cur_dense,
-                base_dense,
-                threshold,
-            );
         }
         check_path(
             &mut problems,
@@ -605,9 +569,6 @@ mod tests {
             w.lu.path.cols_scanned,
             w.dantzig.cols_scanned
         );
-        // Wide LP skips the dense oracle on purpose.
-        assert!(w.lp_cols > DENSE_COL_CAP);
-        assert!(w.dense.is_none());
         // The hyper-sparse floor holds on the wide workload: most
         // triangular solves walk the reach instead of the whole basis.
         let pct = spec.hypersparse_floor_pct.unwrap();

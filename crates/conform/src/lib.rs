@@ -1,7 +1,7 @@
 //! # ise-conform — differential conformance harness
 //!
 //! The solver stack has many redundant ways to compute the same answer:
-//! sparse vs dense simplex, warm vs cold bases, the batch engine vs a
+//! LU vs eta-file simplex, warm vs cold bases, the batch engine vs a
 //! direct call, the approximation pipeline vs exhaustive search, plus the
 //! paper's own budgets (Theorem 12, Lemma 2, the lower-bound lattice).
 //! This crate turns that redundancy into a test oracle: generate seeded

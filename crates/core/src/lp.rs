@@ -397,7 +397,7 @@ mod tests {
         let jobs = vec![Job::new(0, 0, 8, 5), Job::new(1, 0, 40, 5)];
         let tise = build(&jobs, Dur(10), 3);
         assert!(tise.x_vars[0].is_empty());
-        for factorization in [Factorization::Lu, Factorization::Eta, Factorization::Dense] {
+        for factorization in [Factorization::Lu, Factorization::Eta] {
             for pricing in [Pricing::Dantzig, Pricing::Devex] {
                 let opts = SolveOptions {
                     factorization,

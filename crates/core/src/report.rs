@@ -55,9 +55,12 @@ pub struct LpTelemetry {
     pub recoveries_tighten: u64,
     /// Recovery-ladder rung 3 activations (Dantzig full pricing).
     pub recoveries_dantzig: u64,
-    /// Recovery-ladder rung 4 activations (eta-kernel fallback).
+    /// Recovery-ladder rung 4 activations (eta-kernel fallback, the last
+    /// rung).
     pub recoveries_eta: u64,
-    /// Recovery-ladder rung 5 activations (dense-kernel fallback).
+    /// Always 0: the ladder has no dense-kernel rung any more. The field
+    /// stays because the benchmark harness builds this struct by field
+    /// name; it goes with the next change to that harness.
     pub recoveries_dense: u64,
     /// Harris ratio-test pass-2 picks beyond the strict minimum ratio.
     pub harris_relaxations: u64,
@@ -94,7 +97,7 @@ impl LpTelemetry {
             recoveries_tighten: l.fractional.numerics.recoveries_tighten,
             recoveries_dantzig: l.fractional.numerics.recoveries_dantzig,
             recoveries_eta: l.fractional.numerics.recoveries_eta,
-            recoveries_dense: l.fractional.numerics.recoveries_dense,
+            recoveries_dense: 0,
             harris_relaxations: l.fractional.numerics.harris_relaxations,
             lu_fill_nnz: l.fractional.numerics.lu_fill_nnz,
             lu_ft_updates: l.fractional.numerics.lu_ft_updates,
@@ -109,7 +112,6 @@ impl LpTelemetry {
             + self.recoveries_tighten
             + self.recoveries_dantzig
             + self.recoveries_eta
-            + self.recoveries_dense
     }
 }
 
@@ -221,15 +223,14 @@ impl fmt::Display for SolveReport {
             writeln!(
                 f,
                 "LP numerics: {} residual checks, max residual {:.2e}, \
-                 {} recoveries (refactor {} / tighten {} / dantzig {} / eta {} / dense {})",
+                 {} recoveries (refactor {} / tighten {} / dantzig {} / eta {})",
                 t.residual_checks,
                 t.max_residual,
                 t.recoveries_total(),
                 t.recoveries_refactor,
                 t.recoveries_tighten,
                 t.recoveries_dantzig,
-                t.recoveries_eta,
-                t.recoveries_dense
+                t.recoveries_eta
             )?;
             writeln!(
                 f,

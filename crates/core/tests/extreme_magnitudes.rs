@@ -1,9 +1,11 @@
 //! Property tests at the representable-horizon edge: instances whose
 //! coordinates sit within a few thousand ticks of `±MAX_INSTANCE_TICKS`
-//! (`i64::MAX / 36`, the Lemma 13 / Theorem 14 headroom) must solve
-//! cleanly or fail with a typed verdict — never wrap, panic, or abort.
+//! (`i64::MAX / 36`, the Lemma 13 / Theorem 14 headroom), or whose
+//! machine count is `MAX_MACHINES`, must solve cleanly or fail with a
+//! typed verdict — never wrap, panic, or abort.
 
-use ise_model::{validate, Dur, Instance, InstanceBuilder, Job, MAX_INSTANCE_TICKS};
+use ise_model::{validate, Dur, Instance, InstanceBuilder, Job, MAX_INSTANCE_TICKS, MAX_MACHINES};
+use ise_sched::lower_bound::lower_bound;
 use ise_sched::{solve, solve_with_speed, try_refine_for_speed, SchedError, SolverOptions};
 use proptest::prelude::*;
 
@@ -93,4 +95,26 @@ fn edge_instances_scale_by_36_exactly_at_the_bound() {
     let t = ise_model::Time(MAX_INSTANCE_TICKS);
     assert!(t.try_scale(36).is_ok());
     assert!(t.try_scale(37).is_err());
+}
+
+#[test]
+fn solve_at_the_machine_bound_matches_a_small_machine_count() {
+    // MAX_MACHINES keeps every machine multiple the pipeline forms inside
+    // usize: the LP budget 3·m here, for the solve and the lower bound.
+    // Seven jobs that all need [0, 20) cannot use more than seven
+    // machines, so the bound solves exactly like m = 7. One machine more
+    // is rejected when the instance is built.
+    let jobs = [(0, 20, 10); 7];
+    let at_bound = Instance::new(jobs, MAX_MACHINES, 10).unwrap();
+    let seven = Instance::new(jobs, 7, 10).unwrap();
+    let big = solve(&at_bound, &SolverOptions::default()).expect("feasible at the bound");
+    let small = solve(&seven, &SolverOptions::default()).expect("feasible on 7 machines");
+    assert!(validate(&at_bound, &big.schedule).is_ok());
+    assert_eq!(
+        big.schedule.num_calibrations(),
+        small.schedule.num_calibrations()
+    );
+    let lp = ise_simplex::SolveOptions::default();
+    assert_eq!(lower_bound(&at_bound, &lp), lower_bound(&seven, &lp));
+    assert!(Instance::new(jobs, MAX_MACHINES + 1, 10).is_err());
 }

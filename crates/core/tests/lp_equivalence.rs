@@ -1,5 +1,5 @@
-//! Property tests: on TISE LPs of random workloads, the three basis
-//! kernels (LU, eta file, dense inverse) agree.
+//! Property tests: on TISE LPs of random workloads, the two basis
+//! kernels (LU and eta file) agree.
 //!
 //! [`solve_lp`] already verifies every returned solution against the
 //! original constraints (`check_solution`) and certifies the dual
@@ -75,36 +75,33 @@ proptest! {
         let tise = build(&jobs, instance.calib_len(), 3 * instance.machines());
 
         let lu = solve_lp(&tise, &SolveOptions::default());
-        for oracle_kind in [Factorization::Eta, Factorization::Dense] {
-            let oracle = solve_lp(&tise, &kernel_opts(oracle_kind));
-            match (&lu, &oracle) {
-                (Ok(s), Ok(d)) => {
-                    let scale = 1.0 + s.objective.abs();
-                    prop_assert!(
-                        (s.objective - d.objective).abs() <= 1e-6 * scale,
-                        "objectives diverge: lu {} {:?} {}",
-                        s.objective, oracle_kind, d.objective
-                    );
-                    // Both kernels must certify their optimum via the dual.
-                    let sd = s.certified_dual_bound.expect("lu dual certificate");
-                    let dd = d.certified_dual_bound.expect("oracle dual certificate");
-                    prop_assert!((sd - s.objective).abs() <= 1e-5 * scale);
-                    prop_assert!((dd - d.objective).abs() <= 1e-5 * scale);
-                }
-                // Same verdict required: both infeasible is fine, a split
-                // verdict is a factorization bug.
-                (Err(s), Err(d)) => {
-                    prop_assert_eq!(
-                        std::mem::discriminant(s),
-                        std::mem::discriminant(d),
-                        "error kinds diverge: lu {:?} {:?} {:?}", s, oracle_kind, d
-                    );
-                }
-                (s, d) => {
-                    return Err(TestCaseError::fail(format!(
-                        "verdicts diverge: lu {s:?} {oracle_kind:?} {d:?}"
-                    )));
-                }
+        let eta = solve_lp(&tise, &kernel_opts(Factorization::Eta));
+        match (&lu, &eta) {
+            (Ok(s), Ok(d)) => {
+                let scale = 1.0 + s.objective.abs();
+                prop_assert!(
+                    (s.objective - d.objective).abs() <= 1e-6 * scale,
+                    "objectives diverge: lu {} eta {}", s.objective, d.objective
+                );
+                // Both kernels must certify their optimum via the dual.
+                let sd = s.certified_dual_bound.expect("lu dual certificate");
+                let dd = d.certified_dual_bound.expect("eta dual certificate");
+                prop_assert!((sd - s.objective).abs() <= 1e-5 * scale);
+                prop_assert!((dd - d.objective).abs() <= 1e-5 * scale);
+            }
+            // Same verdict required: both infeasible is fine, a split
+            // verdict is a factorization bug.
+            (Err(s), Err(d)) => {
+                prop_assert_eq!(
+                    std::mem::discriminant(s),
+                    std::mem::discriminant(d),
+                    "error kinds diverge: lu {:?} eta {:?}", s, d
+                );
+            }
+            (s, d) => {
+                return Err(TestCaseError::fail(format!(
+                    "verdicts diverge: lu {s:?} eta {d:?}"
+                )));
             }
         }
     }
@@ -121,7 +118,7 @@ proptest! {
             return Ok(());
         }
         let budget = 3 * instance.machines();
-        for kind in [Factorization::Lu, Factorization::Eta, Factorization::Dense] {
+        for kind in [Factorization::Lu, Factorization::Eta] {
             let opts = kernel_opts(kind);
             let Ok(cold_a) = solve_lp(&build(&jobs, instance.calib_len(), budget), &opts) else {
                 return Ok(());

@@ -834,7 +834,6 @@ fn record_lp_numerics(metrics: &EngineMetrics, t: &LpTelemetry) {
         (&metrics.lp_recoveries_tighten, t.recoveries_tighten),
         (&metrics.lp_recoveries_dantzig, t.recoveries_dantzig),
         (&metrics.lp_recoveries_eta, t.recoveries_eta),
-        (&metrics.lp_recoveries_dense, t.recoveries_dense),
         (&metrics.lp_lu_ft_updates, t.lu_ft_updates),
         (&metrics.lp_lu_sparse_solves, t.lu_sparse_solves),
         (&metrics.lp_lu_dense_solves, t.lu_dense_solves),
@@ -883,7 +882,6 @@ mod tests {
         assert_eq!(m.lp_residual.count, 1);
         assert_eq!(m.lp_recoveries_refactor, 0);
         assert_eq!(m.lp_recoveries_eta, 0);
-        assert_eq!(m.lp_recoveries_dense, 0);
         // The default kernel is LU: the solve must report its fill-in.
         assert!(m.lp_lu_fill_nnz > 0, "LU fill-in gauge is fed");
     }

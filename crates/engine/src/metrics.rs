@@ -345,7 +345,6 @@ metrics! {
         lp_recoveries_tighten: AtomicU64 => "ise_lp_recoveries_total" {rung = "tighten"}, counter, "LP numerical recoveries by ladder rung";
         lp_recoveries_dantzig: AtomicU64 => "ise_lp_recoveries_total" {rung = "dantzig"}, counter, "LP numerical recoveries by ladder rung";
         lp_recoveries_eta: AtomicU64 => "ise_lp_recoveries_total" {rung = "eta"}, counter, "LP numerical recoveries by ladder rung";
-        lp_recoveries_dense: AtomicU64 => "ise_lp_recoveries_total" {rung = "dense"}, counter, "LP numerical recoveries by ladder rung";
         lp_lu_fill_nnz: AtomicU64 => "ise_lp_lu_fill_nnz", gauge, "Worst LU fill-in (stored L+U nonzeros) seen across solves";
         lp_lu_ft_updates: AtomicU64 => "ise_lp_lu_ft_updates_total", counter, "Forrest-Tomlin pivot updates applied";
         lp_lu_sparse_solves: AtomicU64 => "ise_lp_lu_triangular_solves_total" {path = "sparse"}, counter, "FTRAN/BTRAN solves by kernel path";
@@ -551,7 +550,7 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("ise_lp_recoveries_total{rung=\"dense\"} 0"),
+            text.contains("ise_lp_recoveries_total{rung=\"eta\"} 0"),
             "{text}"
         );
         assert!(text.contains("# TYPE ise_lp_residual histogram"), "{text}");
@@ -584,7 +583,6 @@ mod tests {
         m.lp_residual.record(f64::INFINITY); // clamps into +Inf bucket
         inc(&m.lp_recoveries_refactor);
         inc(&m.lp_recoveries_eta);
-        inc(&m.lp_recoveries_dense);
         m.lp_lu_fill_nnz.fetch_max(321, Ordering::Relaxed);
         m.lp_lu_ft_updates.fetch_add(7, Ordering::Relaxed);
         m.lp_lu_sparse_solves.fetch_add(9, Ordering::Relaxed);
@@ -599,10 +597,6 @@ mod tests {
         );
         assert!(
             text.contains("ise_lp_recoveries_total{rung=\"eta\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("ise_lp_recoveries_total{rung=\"dense\"} 1"),
             "{text}"
         );
         assert!(text.contains("ise_lp_lu_fill_nnz 321"), "{text}");

@@ -570,7 +570,10 @@ mod tests {
     fn invalid_instances_get_inline_errors_and_the_stream_goes_on() {
         // Each line breaks one `Instance` invariant. Unvalidated, the first
         // two panicked the only worker and hung the stream; the others were
-        // answered with solver failures or an `ok` schedule.
+        // answered with solver failures or an `ok` schedule. `WRAPS`
+        // machines make `3·m` wrap to 2 (a panic under overflow checks, a
+        // wrong verdict without them).
+        const WRAPS: u64 = 6_148_914_691_236_517_206;
         // (job id, (release, deadline, proc), machines, calib_len, error)
         let bad = [
             (0, (0, 30, 4), 0, 10, "at least one machine"),
@@ -580,6 +583,7 @@ mod tests {
             (0, (0, 30, 15), 1, 10, "exceeds calibration length"),
             (0, (0, 30, 0), 1, 10, "processing time must be positive"),
             (5, (0, 30, 4), 1, 10, "position 0 has id 5"),
+            (0, (0, 30, 4), WRAPS, 10, "exceeds the supported maximum"),
         ];
         let mut input = String::new();
         for (i, (job, (r, d, p), m, t, _)) in bad.iter().enumerate() {
@@ -588,7 +592,7 @@ mod tests {
                  \"deadline\": {d}, \"proc\": {p}}}], \"machines\": {m}, \"calib_len\": {t}}}}}\n"
             );
         }
-        input += &request_line(7, 4);
+        input += &request_line(8, 4);
         let (done, answered) = channel();
         std::thread::spawn(move || {
             let mut out = Vec::new();
@@ -607,14 +611,14 @@ mod tests {
             .lines()
             .map(|l| serde_json::from_str(l).unwrap())
             .collect();
-        assert_eq!(lines.len(), 8);
+        assert_eq!(lines.len(), 9);
         for (line, want) in lines.iter().zip(bad.map(|b| b.4)) {
             assert_eq!(line["status"].as_str(), Some("error"), "{line:?}");
             let error = line["error"].as_str().unwrap();
             assert!(error.contains(want), "{error} lacks {want}");
         }
-        assert_eq!(lines[7]["id"].as_u64(), Some(7));
-        assert_eq!(lines[7]["status"].as_str(), Some("ok"));
+        assert_eq!(lines[8]["id"].as_u64(), Some(8));
+        assert_eq!(lines[8]["status"].as_str(), Some("ok"));
     }
 
     #[test]

@@ -12,6 +12,13 @@ pub enum ModelError {
     },
     /// The machine count `m` must be positive.
     NoMachines,
+    /// The machine count exceeds [`MAX_MACHINES`](crate::MAX_MACHINES):
+    /// a machine multiple the pipeline forms (the `3·m` LP budget, for
+    /// one) would overflow `usize`.
+    TooManyMachines {
+        /// The offending machine count.
+        machines: usize,
+    },
     /// A job's processing time must be positive.
     NonPositiveProcessingTime {
         /// Offending job index.
@@ -60,6 +67,11 @@ impl fmt::Display for ModelError {
                 write!(f, "calibration length T must be positive, got {calib_len}")
             }
             ModelError::NoMachines => write!(f, "instance must have at least one machine"),
+            ModelError::TooManyMachines { machines } => write!(
+                f,
+                "machine count {machines} exceeds the supported maximum {} (usize::MAX / 36)",
+                crate::MAX_MACHINES
+            ),
             ModelError::NonPositiveProcessingTime { job } => {
                 write!(f, "job {job}: processing time must be positive")
             }

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Invariants (enforced by [`Instance::new`] / [`InstanceBuilder`], and so
 /// by deserialization, which goes through the builder):
-/// * `T > 0`, `m > 0`;
+/// * `T > 0`, `0 < m <= MAX_MACHINES`;
 /// * for every job: `p_j > 0`, `p_j <= T`, and `r_j + p_j <= d_j`;
 /// * job ids equal their index in [`Instance::jobs`];
 /// * every time value lies within [`MAX_INSTANCE_TICKS`](crate::MAX_INSTANCE_TICKS).
@@ -219,6 +219,14 @@ impl Instance {
     }
 }
 
+/// Largest machine count a validated instance may have. The pipeline
+/// multiplies `m` by small constants: the long-window LP runs on `3·m`
+/// machines (Lemma 2), Theorem 12 bounds its schedule by `18·m`, and
+/// Theorem 14 trades `c·m` machines for speed `2c` with `c = 18`. The
+/// same factor 36 that bounds [`MAX_INSTANCE_TICKS`](crate::MAX_INSTANCE_TICKS)
+/// keeps every such multiple inside `usize`.
+pub const MAX_MACHINES: usize = usize::MAX / 36;
+
 /// Fallible builder for [`Instance`].
 #[derive(Clone, Debug)]
 pub struct InstanceBuilder {
@@ -252,6 +260,11 @@ impl InstanceBuilder {
         }
         if self.machines == 0 {
             return Err(ModelError::NoMachines);
+        }
+        if self.machines > MAX_MACHINES {
+            return Err(ModelError::TooManyMachines {
+                machines: self.machines,
+            });
         }
         // Magnitude validation runs before any arithmetic on the inputs:
         // it both guards the `r + p > d` check below against wrapping and
@@ -434,6 +447,19 @@ mod tests {
     fn deserialize_rejects_zero_machines() {
         let err = parse_one(0, (0, 30, 4), 0, 10).unwrap_err();
         assert!(err.contains("at least one machine"), "{err}");
+    }
+
+    #[test]
+    fn deserialize_rejects_machine_counts_beyond_the_bound() {
+        // 3 * 6148914691236517206 wraps to 2 in usize arithmetic.
+        let bound = crate::MAX_MACHINES as i64;
+        for m in [bound + 1, 6_148_914_691_236_517_206] {
+            let err = parse_one(0, (0, 30, 4), m, 10).unwrap_err();
+            assert!(err.contains("exceeds the supported maximum"), "{err}");
+        }
+        let inst = parse_one(0, (0, 30, 4), bound, 10).unwrap();
+        assert_eq!(inst.machines(), crate::MAX_MACHINES);
+        assert!(3 * inst.machines() > inst.machines());
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod transform;
 pub mod validate;
 
 pub use error::ModelError;
-pub use instance::{Instance, InstanceBuilder};
+pub use instance::{Instance, InstanceBuilder, MAX_MACHINES};
 pub use job::{Job, JobId};
 pub use render::{render_gantt, RenderOptions};
 pub use schedule::{Calibration, Placement, Schedule};

@@ -9,7 +9,7 @@
 //! * **refactor** — rebuild the representation from the basis columns when
 //!   the update sequence grows long or looks numerically unsafe.
 //!
-//! Three implementations live behind the [`Factor`] enum, selected by
+//! Two implementations live behind the [`Factor`] enum, selected by
 //! [`Factorization`]:
 //!
 //! * [`LuFactor`] (the default) keeps a sparse `B = L·U` factorization:
@@ -22,32 +22,30 @@
 //!   `B⁻¹ = E_k ⋯ E_1` where each eta matrix `E_i` differs from the
 //!   identity in one column. A pivot appends one eta (`O(nnz(w))`), FTRAN
 //!   applies the etas oldest-first and BTRAN newest-first, each in
-//!   `O(Σ nnz(eta))`. Retained as the first-line cross-check oracle (the
-//!   conformance differential runs LU-vs-Eta) and as the first fallback
-//!   rung of the recovery ladder. Its outputs are dense-mode [`SpVec`]s,
-//!   preserving the historical iteration order bit for bit.
-//! * [`DenseInverse`] maintains `B⁻¹` explicitly (row major). Every update
-//!   is an `O(m²)` elimination and BTRAN/FTRAN are `O(m²)`/`O(m·nnz)`.
-//!   This is the original kernel, kept as the last-resort oracle.
+//!   `O(Σ nnz(eta))`. Retained as the independent cross-check kernel (the
+//!   conformance differential runs LU-vs-Eta) and as the last rung of the
+//!   recovery ladder. Its outputs are dense-mode [`SpVec`]s, preserving
+//!   the historical iteration order bit for bit.
 //!
 //! All hot-path operations come in `_into` form writing into
 //! caller-provided buffers, which the solver keeps for the whole solve, so
-//! the pivot loop reuses them instead of allocating per iteration. The eta
-//! file and the LU arenas are truncated rather than freed on
-//! refactorization, so later pivots reuse their capacity too.
+//! the pivot loop reuses them instead of allocating per iteration. Each
+//! kernel owns its reinversion scratch, and the eta file and the LU arenas
+//! are truncated rather than freed on refactorization, so later pivots and
+//! reinversions reuse their capacity too.
 
 use crate::lu::reset_to;
 use crate::solver::SolverError;
 
 pub use crate::lu::{FactorStats, LuFactor, SpVec, Support};
 
-/// Pivot threshold below which a refactorization declares the basis
-/// singular. Matches the dense Gauss–Jordan kernel's historical value.
+/// Pivot magnitude below which the eta reinversion declares the basis
+/// singular; eta entries below it are dropped as zeros.
 const SINGULAR_TOL: f64 = 1e-12;
 
 /// Which basis kernel a solve runs on. `Lu` is the production default;
-/// `Eta` and `Dense` survive as independently implemented cross-check
-/// oracles and as the last two rungs of the recovery ladder.
+/// `Eta` survives as the independently implemented cross-check kernel and
+/// as the last rung of the recovery ladder.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Factorization {
     /// Sparse LU with Forrest–Tomlin updates and hyper-sparse solves.
@@ -55,8 +53,6 @@ pub enum Factorization {
     Lu,
     /// Product-form-of-the-inverse eta file.
     Eta,
-    /// Explicit dense inverse.
-    Dense,
 }
 
 /// One eta matrix header: identity except column `row`, with the pivot
@@ -70,20 +66,19 @@ struct EtaHdr {
     len: usize,
 }
 
-/// Product-form (eta-file) representation of `B⁻¹`, stored as an arena:
-/// headers plus one shared off-diagonal vec. Clearing truncates both vecs
-/// in place, so repeated refactorizations reuse capacity.
+/// The eta matrices themselves, stored as an arena: headers plus one
+/// shared off-diagonal vec. Clearing truncates both vecs in place.
 #[derive(Default)]
-pub struct EtaFile {
+struct Etas {
     hdr: Vec<EtaHdr>,
     /// `(i, w_i)` entries for all etas, concatenated.
     data: Vec<(usize, f64)>,
 }
 
-impl EtaFile {
+impl Etas {
     /// Append the eta derived from pivot direction `w` leaving at `row`
     /// (`E[row][row] = 1/w_row`, `E[i][row] = -w_i/w_row`).
-    fn push_direction(&mut self, row: usize, w: &[f64]) {
+    fn push(&mut self, row: usize, w: &[f64]) {
         let start = self.data.len();
         for (i, &wi) in w.iter().enumerate() {
             if i != row && wi.abs() > SINGULAR_TOL {
@@ -103,7 +98,7 @@ impl EtaFile {
         self.data.clear();
     }
 
-    fn apply_all_ftran(&self, v: &mut [f64]) {
+    fn ftran(&self, v: &mut [f64]) {
         for eta in &self.hdr {
             let t = v[eta.row];
             if t == 0.0 {
@@ -117,7 +112,7 @@ impl EtaFile {
         }
     }
 
-    fn apply_all_btran(&self, y: &mut [f64]) {
+    fn btran(&self, y: &mut [f64]) {
         for eta in self.hdr.iter().rev() {
             let mut s = y[eta.row];
             for &(i, wi) in &self.data[eta.start..eta.start + eta.len] {
@@ -126,49 +121,98 @@ impl EtaFile {
             y[eta.row] = s / eta.diag;
         }
     }
+}
+
+/// Product-form (eta-file) representation of `B⁻¹`: the eta arena plus
+/// the reinversion sweep's scratch, all reused across refactorizations.
+#[derive(Default)]
+pub struct EtaFile {
+    etas: Etas,
+    /// Reinversion order over basis positions (sparsest column first).
+    order: Vec<usize>,
+    /// Basic variable per pivot row, as the reinversion assigns them.
+    new_basis: Vec<usize>,
+    /// Rows the reinversion has already pivoted on.
+    assigned: Vec<bool>,
+    /// Dense column being transformed by the reinversion.
+    col: Vec<f64>,
+}
+
+impl EtaFile {
+    /// Reinversion sweep: process the sparsest columns first so early etas
+    /// stay short, and assign each column the unpivoted row where its
+    /// transformed value is largest. Keys are distinct (basis entries are
+    /// distinct), so the unstable sort is deterministic.
+    fn refactor(
+        &mut self,
+        cols: &[Vec<(usize, f64)>],
+        basis: &mut [usize],
+        b: &[f64],
+        xb: &mut [f64],
+    ) -> Result<(), SolverError> {
+        let m = basis.len();
+        let EtaFile {
+            etas,
+            order,
+            new_basis,
+            assigned,
+            col: v,
+        } = self;
+        etas.clear();
+        order.clear();
+        order.extend(0..m);
+        order.sort_unstable_by_key(|&i| (cols[basis[i]].len(), basis[i]));
+        reset_to(new_basis, m, usize::MAX);
+        reset_to(assigned, m, false);
+        reset_to(v, m, 0.0);
+        for &pos in order.iter() {
+            let var = basis[pos];
+            v.fill(0.0);
+            for &(r, a) in &cols[var] {
+                v[r] = a;
+            }
+            etas.ftran(v);
+            let mut best = usize::MAX;
+            let mut best_val = SINGULAR_TOL;
+            for (r, &vr) in v.iter().enumerate() {
+                if !assigned[r] && vr.abs() > best_val {
+                    best_val = vr.abs();
+                    best = r;
+                }
+            }
+            if best == usize::MAX {
+                return Err(SolverError::SingularBasis);
+            }
+            etas.push(best, v);
+            assigned[best] = true;
+            new_basis[best] = var;
+        }
+        basis.copy_from_slice(new_basis);
+        v.copy_from_slice(b);
+        etas.ftran(v);
+        xb.copy_from_slice(v);
+        Ok(())
+    }
 
     /// Number of eta terms currently in the file (diagnostic).
     pub fn len(&self) -> usize {
-        self.hdr.len()
+        self.etas.hdr.len()
     }
 
     /// Whether the file is empty (represents the identity).
     pub fn is_empty(&self) -> bool {
-        self.hdr.is_empty()
+        self.etas.hdr.is_empty()
     }
 }
 
-/// Explicit dense `B⁻¹`, row major — the original kernel.
-pub struct DenseInverse {
-    m: usize,
-    binv: Vec<f64>,
-}
-
-/// Reusable scratch for [`Factor::refactor_with`]: the reinversion order,
-/// permutation bookkeeping, one dense column buffer, and the dense kernel's
-/// working matrix. The solver keeps one for the whole solve, so repeated
-/// refactorizations reuse its buffers. (The LU kernel carries its own
-/// scratch inside [`LuFactor`].)
-#[derive(Default)]
-pub struct FactorScratch {
-    dense_a: Vec<f64>,
-    order: Vec<usize>,
-    new_basis: Vec<usize>,
-    assigned: Vec<bool>,
-    col: Vec<f64>,
-}
-
-/// A basis representation: sparse LU, product-form eta file, or dense
-/// explicit inverse.
+/// A basis representation: sparse LU or product-form eta file.
 pub enum Factor {
     /// Sparse LU with Forrest–Tomlin updates (default). Boxed: the LU
     /// factor holds ~1 KiB of inline arena headers and scratch vectors,
-    /// against a few dozen bytes for the other variants, and an unboxed
-    /// variant would make every `Factor` that large.
+    /// against a few vec headers for the eta file, and an unboxed variant
+    /// would make every `Factor` that large.
     Lu(Box<LuFactor>),
-    /// Dense explicit inverse (last-resort oracle).
-    Dense(DenseInverse),
-    /// Product-form inverse (first-line oracle).
+    /// Product-form inverse (cross-check kernel and last recovery rung).
     Eta(EtaFile),
 }
 
@@ -182,13 +226,6 @@ impl Factor {
                 Factor::Lu(lu)
             }
             Factorization::Eta => Factor::Eta(EtaFile::default()),
-            Factorization::Dense => {
-                let mut binv = vec![0.0; m * m];
-                for i in 0..m {
-                    binv[i * m + i] = 1.0;
-                }
-                Factor::Dense(DenseInverse { m, binv })
-            }
         }
     }
 
@@ -196,40 +233,24 @@ impl Factor {
     pub fn reset_identity(&mut self) {
         match self {
             Factor::Lu(lu) => lu.reset_to_identity(),
-            Factor::Dense(d) => {
-                d.binv.fill(0.0);
-                for i in 0..d.m {
-                    d.binv[i * d.m + i] = 1.0;
-                }
-            }
-            Factor::Eta(e) => e.clear(),
+            Factor::Eta(e) => e.etas.clear(),
         }
     }
 
-    /// Effort counters for the LU kernel (zeroes for the oracle kernels).
+    /// Effort counters for the LU kernel (zeroes for the eta file).
     pub fn stats(&self) -> FactorStats {
         match self {
             Factor::Lu(lu) => lu.stats,
-            _ => FactorStats::default(),
+            Factor::Eta(_) => FactorStats::default(),
         }
     }
 
     /// FTRAN against a sparse column: `out = B⁻¹ a`. The LU kernel leaves
-    /// `out` in sparse mode when the hyper-sparse path ran; the oracle
-    /// kernels always produce dense-mode vectors.
+    /// `out` in sparse mode when the hyper-sparse path ran; the eta file
+    /// always produces dense-mode vectors.
     pub fn ftran_col_into(&mut self, m: usize, col: &[(usize, f64)], out: &mut SpVec) {
         match self {
             Factor::Lu(lu) => lu.ftran(col, out),
-            Factor::Dense(d) => {
-                out.reset(m);
-                out.make_dense();
-                let vals = out.vals_mut();
-                for &(r, a) in col {
-                    for (i, wi) in vals.iter_mut().enumerate() {
-                        *wi += a * d.binv[i * m + r];
-                    }
-                }
-            }
             Factor::Eta(e) => {
                 out.reset(m);
                 out.make_dense();
@@ -237,7 +258,7 @@ impl Factor {
                 for &(r, a) in col {
                     vals[r] = a;
                 }
-                e.apply_all_ftran(vals);
+                e.etas.ftran(vals);
             }
         }
     }
@@ -250,34 +271,21 @@ impl Factor {
     }
 
     /// BTRAN against a dense row vector: `out = vᵀ B⁻¹`.
-    pub fn btran_into(&mut self, m: usize, v: &[f64], out: &mut SpVec) {
+    pub fn btran_into(&mut self, v: &[f64], out: &mut SpVec) {
         match self {
             Factor::Lu(lu) => lu.btran(v, out),
-            Factor::Dense(d) => {
-                out.reset(m);
-                out.make_dense();
-                let vals = out.vals_mut();
-                for (i, &vi) in v.iter().enumerate() {
-                    if vi != 0.0 {
-                        let row = &d.binv[i * m..(i + 1) * m];
-                        for (yk, &bk) in vals.iter_mut().zip(row) {
-                            *yk += vi * bk;
-                        }
-                    }
-                }
-            }
             Factor::Eta(e) => {
                 out.load_dense(v);
-                e.apply_all_btran(out.vals_mut());
+                e.etas.btran(out.vals_mut());
             }
         }
     }
 
     /// Allocating convenience wrapper around [`Factor::btran_into`]:
     /// returns `yᵀ = vᵀ B⁻¹`.
-    pub fn btran(&mut self, m: usize, v: Vec<f64>) -> Vec<f64> {
+    pub fn btran(&mut self, v: Vec<f64>) -> Vec<f64> {
         let mut out = SpVec::default();
-        self.btran_into(m, &v, &mut out);
+        self.btran_into(&v, &mut out);
         out.vals().to_vec()
     }
 
@@ -289,18 +297,12 @@ impl Factor {
     pub fn row_of_inverse_into(&mut self, m: usize, row: usize, out: &mut SpVec) {
         match self {
             Factor::Lu(lu) => lu.btran_unit(row, out),
-            Factor::Dense(d) => {
-                out.reset(m);
-                out.make_dense();
-                out.vals_mut()
-                    .copy_from_slice(&d.binv[row * m..(row + 1) * m]);
-            }
             Factor::Eta(e) => {
                 out.reset(m);
                 out.make_dense();
                 let vals = out.vals_mut();
                 vals[row] = 1.0;
-                e.apply_all_btran(vals);
+                e.etas.btran(vals);
             }
         }
     }
@@ -320,163 +322,18 @@ impl Factor {
     pub fn update(&mut self, leaving_row: usize, w: &SpVec) -> bool {
         match self {
             Factor::Lu(lu) => lu.update(leaving_row, w),
-            Factor::Dense(d) => {
-                let m = d.m;
-                let w = w.vals();
-                let piv = w[leaving_row];
-                let inv_piv = 1.0 / piv;
-                let (before, rest) = d.binv.split_at_mut(leaving_row * m);
-                let (prow, after) = rest.split_at_mut(m);
-                for v in prow.iter_mut() {
-                    *v *= inv_piv;
-                }
-                for (i, chunk) in before.chunks_exact_mut(m).enumerate() {
-                    let f = w[i];
-                    if f != 0.0 {
-                        for (c, p) in chunk.iter_mut().zip(prow.iter()) {
-                            *c -= f * p;
-                        }
-                    }
-                }
-                for (k, chunk) in after.chunks_exact_mut(m).enumerate() {
-                    let f = w[leaving_row + 1 + k];
-                    if f != 0.0 {
-                        for (c, p) in chunk.iter_mut().zip(prow.iter()) {
-                            *c -= f * p;
-                        }
-                    }
-                }
-                true
-            }
             Factor::Eta(e) => {
-                e.push_direction(leaving_row, w.vals());
+                e.etas.push(leaving_row, w.vals());
                 true
             }
         }
     }
 
     /// Rebuild the representation from the basis columns and recompute
-    /// `xb = B⁻¹ b`, using `scratch` for every intermediate buffer. The
-    /// LU and eta reinversions may permute which row position each basic
-    /// variable occupies; `basis` is updated accordingly so the caller's
-    /// row-indexed state stays consistent.
-    pub fn refactor_with(
-        &mut self,
-        cols: &[Vec<(usize, f64)>],
-        basis: &mut [usize],
-        b: &[f64],
-        xb: &mut [f64],
-        scratch: &mut FactorScratch,
-    ) -> Result<(), SolverError> {
-        let m = basis.len();
-        match self {
-            Factor::Lu(lu) => lu.refactor(cols, basis, b, xb),
-            Factor::Dense(d) => {
-                debug_assert_eq!(d.m, m);
-                let a = &mut scratch.dense_a;
-                reset_to(a, m * m, 0.0);
-                for (col, &bv) in basis.iter().enumerate() {
-                    for &(r, v) in &cols[bv] {
-                        a[r * m + col] = v;
-                    }
-                }
-                let inv = &mut d.binv;
-                inv.fill(0.0);
-                for i in 0..m {
-                    inv[i * m + i] = 1.0;
-                }
-                for col in 0..m {
-                    let mut best = col;
-                    let mut best_val = a[col * m + col].abs();
-                    for r in (col + 1)..m {
-                        let v = a[r * m + col].abs();
-                        if v > best_val {
-                            best_val = v;
-                            best = r;
-                        }
-                    }
-                    if best_val < SINGULAR_TOL {
-                        return Err(SolverError::SingularBasis);
-                    }
-                    if best != col {
-                        for k in 0..m {
-                            a.swap(col * m + k, best * m + k);
-                            inv.swap(col * m + k, best * m + k);
-                        }
-                    }
-                    let inv_piv = 1.0 / a[col * m + col];
-                    for k in 0..m {
-                        a[col * m + k] *= inv_piv;
-                        inv[col * m + k] *= inv_piv;
-                    }
-                    for r in 0..m {
-                        if r != col {
-                            let f = a[r * m + col];
-                            if f != 0.0 {
-                                for k in 0..m {
-                                    a[r * m + k] -= f * a[col * m + k];
-                                    inv[r * m + k] -= f * inv[col * m + k];
-                                }
-                            }
-                        }
-                    }
-                }
-                for (i, x) in xb.iter_mut().enumerate().take(m) {
-                    let row = &d.binv[i * m..(i + 1) * m];
-                    *x = row.iter().zip(b).map(|(v, bi)| v * bi).sum();
-                }
-                Ok(())
-            }
-            Factor::Eta(e) => {
-                e.clear();
-                // Reinversion sweep: process the sparsest columns first so
-                // early etas stay short, assign each column the unpivoted
-                // row where its transformed value is largest. Keys are
-                // distinct (basis entries are distinct), so the unstable
-                // sort is deterministic.
-                let order = &mut scratch.order;
-                order.clear();
-                order.extend(0..m);
-                order.sort_unstable_by_key(|&i| (cols[basis[i]].len(), basis[i]));
-                let new_basis = &mut scratch.new_basis;
-                reset_to(new_basis, m, usize::MAX);
-                let assigned = &mut scratch.assigned;
-                reset_to(assigned, m, false);
-                let v = &mut scratch.col;
-                reset_to(v, m, 0.0);
-                for &pos in order.iter() {
-                    let var = basis[pos];
-                    v.fill(0.0);
-                    for &(r, a) in &cols[var] {
-                        v[r] = a;
-                    }
-                    e.apply_all_ftran(v);
-                    let mut best = usize::MAX;
-                    let mut best_val = SINGULAR_TOL;
-                    for (r, &vr) in v.iter().enumerate() {
-                        if !assigned[r] && vr.abs() > best_val {
-                            best_val = vr.abs();
-                            best = r;
-                        }
-                    }
-                    if best == usize::MAX {
-                        return Err(SolverError::SingularBasis);
-                    }
-                    e.push_direction(best, v);
-                    assigned[best] = true;
-                    new_basis[best] = var;
-                }
-                basis.copy_from_slice(new_basis);
-                v.copy_from_slice(b);
-                e.apply_all_ftran(v);
-                xb.copy_from_slice(v);
-                Ok(())
-            }
-        }
-    }
-
-    /// [`Factor::refactor_with`] against throwaway scratch — the original
-    /// allocating entry point, kept for tests and one-shot callers.
+    /// `xb = B⁻¹ b`, reusing the kernel's own scratch. Both reinversions
+    /// may permute which row position each basic variable occupies;
+    /// `basis` is updated accordingly so the caller's row-indexed state
+    /// stays consistent.
     pub fn refactor(
         &mut self,
         cols: &[Vec<(usize, f64)>],
@@ -484,8 +341,10 @@ impl Factor {
         b: &[f64],
         xb: &mut [f64],
     ) -> Result<(), SolverError> {
-        let mut scratch = FactorScratch::default();
-        self.refactor_with(cols, basis, b, xb, &mut scratch)
+        match self {
+            Factor::Lu(lu) => lu.refactor(cols, basis, b, xb),
+            Factor::Eta(e) => e.refactor(cols, basis, b, xb),
+        }
     }
 }
 
@@ -493,7 +352,7 @@ impl Factor {
 mod tests {
     use super::*;
 
-    const KINDS: [Factorization; 3] = [Factorization::Lu, Factorization::Eta, Factorization::Dense];
+    const KINDS: [Factorization; 2] = [Factorization::Lu, Factorization::Eta];
 
     /// Columns of a 3×3 matrix B = [[2,0,1],[0,3,0],[1,0,1]].
     fn cols3() -> Vec<Vec<(usize, f64)>> {
@@ -568,7 +427,7 @@ mod tests {
             let mut f = Factor::identity(3, kind);
             let mut basis = vec![0usize, 1, 2];
             f.refactor(&cols, &mut basis, &b, &mut xb).unwrap();
-            results.push(f.btran(3, cost(&basis)));
+            results.push(f.btran(cost(&basis)));
         }
         for y in &results[1..] {
             for (a, b) in results[0].iter().zip(y) {
@@ -638,18 +497,16 @@ mod tests {
         for kind in KINDS {
             let mut f = Factor::identity(3, kind);
             let mut basis = vec![0usize, 1, 2];
-            let mut scratch = FactorScratch::default();
-            f.refactor_with(&cols, &mut basis, &b, &mut xb, &mut scratch)
-                .unwrap();
+            f.refactor(&cols, &mut basis, &b, &mut xb).unwrap();
 
             let mut w = SpVec::default();
             let mut y = SpVec::default();
             let mut r0 = SpVec::default();
             f.ftran_col_into(3, &cols[0], &mut w);
-            f.btran_into(3, &[1.0, 0.0, 0.5], &mut y);
+            f.btran_into(&[1.0, 0.0, 0.5], &mut y);
             f.row_of_inverse_into(3, 1, &mut r0);
             assert_eq!(w.vals(), f.ftran_col(3, &cols[0]).as_slice());
-            assert_eq!(y.vals(), f.btran(3, vec![1.0, 0.0, 0.5]).as_slice());
+            assert_eq!(y.vals(), f.btran(vec![1.0, 0.0, 0.5]).as_slice());
             assert_eq!(r0.vals(), f.row_of_inverse(3, 1).as_slice());
         }
     }
@@ -665,7 +522,7 @@ mod tests {
         let stats = f.stats();
         assert_eq!(stats.lu_refactors, 1);
         assert!(stats.fill_nnz >= 3, "diagonal alone is m entries");
-        // Oracle kernels report no LU effort.
+        // The eta file reports no LU effort.
         let eta = Factor::identity(3, Factorization::Eta);
         assert_eq!(eta.stats(), FactorStats::default());
     }

@@ -11,10 +11,9 @@
 //!   [`SolveOptions::refactor_every`] pivots, Forrest–Tomlin pivot
 //!   updates in between, and hyper-sparse (Gilbert–Peierls) FTRAN/BTRAN
 //!   that walk only the reach of the input support — with the
-//!   product-form eta file ([`Factorization::Eta`]) and the original
-//!   dense explicit inverse ([`Factorization::Dense`]) retained behind
-//!   [`SolveOptions::factorization`] as independently implemented
-//!   cross-check oracles,
+//!   product-form eta file ([`Factorization::Eta`]) retained behind
+//!   [`SolveOptions::factorization`] as the independently implemented
+//!   cross-check kernel,
 //! * **warm starts**: an optimal [`Basis`] can be fed back into
 //!   [`solve_warm`] to skip phase 1 when re-solving the same structure
 //!   with a perturbed right-hand side,
@@ -31,17 +30,17 @@
 //!   iterations, phases, and refactorizations; pricing effort is reported
 //!   per solve in [`PricingStats`],
 //! * a zero-ratio leaving rule that immediately evicts artificial variables
-//!   that remain basic at level zero after phase 1,
+//!   at level zero (one evicted on a negative pivot may not re-enter),
 //! * a **numerics layer**: a Harris-style two-pass ratio test
 //!   ([`RatioTest::Harris`], the default, with the original single-pass
 //!   rule behind [`RatioTest::Baseline`] as a cross-check), scale-aware
 //!   relative tolerances, a residual monitor that re-verifies the basic
 //!   system `‖B·x_B − b‖∞ / (1 + ‖b‖∞)` after refactorizations, every
 //!   [`SolveOptions::check_every`] pivots, and on optimal exit, and an
-//!   automatic five-rung recovery ladder (refactorize → raise the pivot
-//!   tolerance 100x → Dantzig pricing → eta kernel → dense kernel) when the
-//!   residual exceeds [`SolveOptions::residual_tol`] — all reported per
-//!   solve in [`NumericsReport`].
+//!   automatic four-rung recovery ladder (refactorize → raise the pivot
+//!   tolerance 100x → Dantzig pricing → eta kernel) when the residual
+//!   exceeds [`SolveOptions::residual_tol`] — all reported per solve in
+//!   [`NumericsReport`].
 //!
 //! The solver is deterministic. Solutions carry the achieved objective and
 //! primal vector; [`verify::check_solution`] re-checks every constraint with

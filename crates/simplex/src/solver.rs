@@ -6,8 +6,8 @@
 //! Forrest–Tomlin updates in between, and hyper-sparse FTRAN/BTRAN whose
 //! cost scales with the reach of the input support rather than the row
 //! count. [`SolveOptions::factorization`] switches to the product-form
-//! eta file or the original explicit dense `B⁻¹`, both retained as
-//! cross-check oracles and as the last two rungs of the recovery ladder.
+//! eta file, retained as the independent cross-check kernel and as the
+//! last rung of the recovery ladder.
 //!
 //! Pricing is **devex partial pricing** by default
 //! ([`Pricing::Devex`]): reference weights `γ_j` approximate the steepest-
@@ -23,11 +23,13 @@
 //! and at phase transitions.
 //!
 //! All per-iteration scratch (multipliers, pivot direction, candidate
-//! list, devex weights, factorization staging) belongs to the solve: it is
-//! allocated when the solve starts and reused across its iterations,
-//! phases and refactorizations.
+//! list, devex weights) belongs to the solve, and each basis kernel owns
+//! its reinversion scratch: both are allocated when the solve starts and
+//! reused across its iterations, phases and refactorizations.
 //!
-//! Phase 1 minimizes the sum of artificial variables; artificial variables
+//! Phase 1 minimizes the sum of artificial variables; an artificial that
+//! the zero-ratio rule evicts on a negative pivot may not re-enter, so two
+//! zero-level artificials cannot trade a row forever. Artificial variables
 //! that remain basic at level zero afterwards are driven out by zero-ratio
 //! pivots, and rows where that is impossible are redundant and harmless
 //! (their artificial is barred from re-entering and evicted by the
@@ -42,7 +44,7 @@
 // row; iterator rewrites obscure the numerics for no gain.
 #![allow(clippy::needless_range_loop)]
 
-use crate::factor::{Factor, FactorScratch, Factorization, SpVec};
+use crate::factor::{Factor, Factorization, SpVec};
 use crate::lu::reset_to;
 use crate::problem::{Cmp, LinearProgram};
 use std::hash::{Hash, Hasher};
@@ -229,13 +231,10 @@ pub struct NumericsReport {
     pub recoveries_tighten: u64,
     /// Rung 3 activations: full re-solves under Dantzig full pricing.
     pub recoveries_dantzig: u64,
-    /// Rung 4 activations: full re-solves on the product-form eta kernel
-    /// (the first factorization fallback below the LU default).
+    /// Rung 4 activations: full re-solves on the product-form eta kernel,
+    /// the last rung (best effort — residual failures there are recorded,
+    /// never escalated).
     pub recoveries_eta: u64,
-    /// Rung 5 activations: full re-solves on the dense explicit-inverse
-    /// kernel (best effort — residual failures there are recorded, never
-    /// escalated).
-    pub recoveries_dense: u64,
     /// How many ratio tests ran (one per pivot selection).
     pub ratio_tests: u64,
     /// Harris pass-2 selections whose ratio strictly exceeded the
@@ -259,7 +258,6 @@ impl NumericsReport {
             + self.recoveries_tighten
             + self.recoveries_dantzig
             + self.recoveries_eta
-            + self.recoveries_dense
     }
 
     /// Fold the report of one solve attempt into the accumulated report of
@@ -275,7 +273,6 @@ impl NumericsReport {
         self.recoveries_tighten += attempt.recoveries_tighten;
         self.recoveries_dantzig += attempt.recoveries_dantzig;
         self.recoveries_eta += attempt.recoveries_eta;
-        self.recoveries_dense += attempt.recoveries_dense;
         self.ratio_tests += attempt.ratio_tests;
         self.harris_relaxations += attempt.harris_relaxations;
         self.lu_fill_nnz = self.lu_fill_nnz.max(attempt.lu_fill_nnz);
@@ -331,9 +328,9 @@ pub struct SolveOptions {
     /// Rebuild the basis representation after this many pivots.
     pub refactor_every: usize,
     /// Which basis kernel to run on: sparse LU with Forrest–Tomlin updates
-    /// (the default), the product-form eta file, or the dense explicit
-    /// inverse. The oracles must agree with LU on status and objective;
-    /// the recovery ladder also falls back through them in that order.
+    /// (the default) or the product-form eta file. The eta file must agree
+    /// with LU on status and objective; the recovery ladder's last rung
+    /// also falls back to it.
     pub factorization: Factorization,
     /// Entering-variable selection rule.
     pub pricing: Pricing,
@@ -374,6 +371,10 @@ impl Default for SolveOptions {
     }
 }
 
+/// The recovery ladder's last attempt: the eta rung, which records a
+/// residual failure instead of escalating.
+const ETA_RUNG: u8 = 3;
+
 /// How many pivot iterations pass between interrupt polls. Polling is a
 /// virtual call plus an atomic load; amortizing it keeps the pivot loop
 /// tight while still bounding interrupt latency to a few dozen pivots.
@@ -410,17 +411,16 @@ pub fn solve_warm(
     // Recovery ladder: attempt 0 runs with the caller's options; when the
     // residual monitor declares the attempt unstable (or the basis turns
     // out singular), each further attempt re-solves from scratch with a
-    // progressively more conservative configuration. The final (dense)
+    // progressively more conservative configuration. The final (eta)
     // rung never escalates, so the ladder always terminates.
     let mut carry = NumericsReport::default();
-    for escalation in 0u8..=4 {
+    for escalation in 0..=ETA_RUNG {
         if escalation > 0 {
             let _span = ise_obs::Span::enter("simplex.recovery");
             match escalation {
                 1 => carry.recoveries_tighten += 1,
                 2 => carry.recoveries_dantzig += 1,
-                3 => carry.recoveries_eta += 1,
-                _ => carry.recoveries_dense += 1,
+                _ => carry.recoveries_eta += 1,
             }
         }
         let mut tableau = Tableau::build(lp, rung_options(opts, escalation));
@@ -436,7 +436,7 @@ pub fn solve_warm(
             ise_obs::Span::record("simplex.lu_update", tableau.lu_update_time);
         }
         carry.absorb(&tableau.numerics);
-        if climb && escalation < 4 {
+        if climb && escalation < ETA_RUNG {
             continue;
         }
         return out.map(|mut sol| {
@@ -444,7 +444,7 @@ pub fn solve_warm(
             sol
         });
     }
-    unreachable!("the dense rung of the recovery ladder always returns")
+    unreachable!("the eta rung of the recovery ladder always returns")
 }
 
 /// Options for attempt `escalation` of the recovery ladder (0 = the
@@ -458,11 +458,8 @@ fn rung_options(opts: &SolveOptions, escalation: u8) -> SolveOptions {
     if escalation >= 2 {
         eff.pricing = Pricing::Dantzig;
     }
-    if escalation >= 3 {
+    if escalation >= ETA_RUNG {
         eff.factorization = Factorization::Eta;
-    }
-    if escalation >= 4 {
-        eff.factorization = Factorization::Dense;
     }
     eff
 }
@@ -489,7 +486,10 @@ struct Tableau {
     /// Basic variable of each row.
     basis: Vec<usize>,
     in_basis: Vec<bool>,
-    /// Basis representation (sparse LU, eta file, or dense inverse).
+    /// Artificials that left the basis on a negative pivot; they may not
+    /// re-enter (see [`Tableau::pivot`]).
+    barred: Vec<bool>,
+    /// Basis representation (sparse LU or eta file).
     factor: Factor,
     /// Current basic solution values.
     xb: Vec<f64>,
@@ -518,8 +518,6 @@ struct Tableau {
     weights: Vec<f64>,
     /// Improving candidates of the current pricing pass: `(column, d_j)`.
     candidates: Vec<(usize, f64)>,
-    /// Refactorization staging buffers (see [`FactorScratch`]).
-    factor_scratch: FactorScratch,
     stats: PricingStats,
     /// Rotating start of the devex candidate window.
     cursor: usize,
@@ -534,7 +532,7 @@ struct Tableau {
     /// residual monitor and the scale-aware degenerate-step gate.
     rhs_scale: f64,
     /// Which rung of the recovery ladder this attempt runs on (0 = the
-    /// caller's configuration, 4 = the dense last resort).
+    /// caller's configuration, [`ETA_RUNG`] = the eta last resort).
     escalation: u8,
     /// Accumulated Forrest–Tomlin update time (recorded as the
     /// `simplex.lu_update` span when the LU kernel ran).
@@ -620,6 +618,7 @@ impl Tableau {
             b: b.clone(),
             basis,
             in_basis,
+            barred: vec![false; total],
             factor,
             xb: b,
             iterations: 0,
@@ -635,7 +634,6 @@ impl Tableau {
             resid: Vec::new(),
             weights: Vec::new(),
             candidates: Vec::new(),
-            factor_scratch: FactorScratch::default(),
             stats: PricingStats::default(),
             cursor: 0,
             degenerate_streak: 0,
@@ -698,13 +696,7 @@ impl Tableau {
         self.basis.copy_from_slice(&warm.vars);
         let installed =
             self.factor
-                .refactor_with(
-                    &self.cols,
-                    &mut self.basis,
-                    &self.b,
-                    &mut self.xb,
-                    &mut self.factor_scratch,
-                )
+                .refactor(&self.cols, &mut self.basis, &self.b, &mut self.xb)
                 .is_ok()
                 && {
                     let scale = 1.0 + self.b.iter().map(|v| v.abs()).sum::<f64>();
@@ -830,7 +822,7 @@ impl Tableau {
         for (k, &bv) in self.basis.iter().enumerate() {
             cb[k] = cost[bv];
         }
-        let mut y = self.factor.btran(self.m, cb);
+        let mut y = self.factor.btran(cb);
         for (yi, &sign) in y.iter_mut().zip(&self.row_sign) {
             *yi *= sign;
         }
@@ -893,7 +885,7 @@ impl Tableau {
             for (i, &bv) in self.basis.iter().enumerate() {
                 self.cb[i] = cost[bv];
             }
-            self.factor.btran_into(self.m, &self.cb, &mut self.y);
+            self.factor.btran_into(&self.cb, &mut self.y);
 
             // Pricing.
             let pricing_start = Instant::now();
@@ -1102,9 +1094,9 @@ impl Tableau {
     /// rung 1 of the recovery ladder refactorizes in place and re-checks
     /// (span `simplex.recovery`); a failure that survives — or any failure
     /// on an already-escalated attempt — marks the solve unstable so the
-    /// recovery ladder in [`solve_warm`] climbs to the next rung. The
-    /// dense last rung records the failure and carries on: it has no
-    /// better kernel to hand over to.
+    /// recovery ladder in [`solve_warm`] climbs to the next rung. The eta
+    /// last rung records the failure and carries on: it has no better
+    /// kernel to hand over to.
     fn residual_guard(&mut self) -> Result<(), SolverError> {
         let rel = {
             let _span = ise_obs::Span::enter("simplex.residual_check");
@@ -1125,7 +1117,7 @@ impl Tableau {
                 return Ok(());
             }
         }
-        if self.escalation >= 4 {
+        if self.escalation >= ETA_RUNG {
             return Ok(());
         }
         self.unstable = true;
@@ -1156,11 +1148,11 @@ impl Tableau {
         w.min(n.max(1))
     }
 
-    /// Whether column `j` may be priced: nonbasic, and artificials may
-    /// never (re-)enter once costed out.
+    /// Whether column `j` may be priced: nonbasic, and an artificial only
+    /// in phase 1 and only if no negative pivot has evicted it.
     #[inline]
-    fn eligible(&self, j: usize, cost: &[f64], phase1: bool) -> bool {
-        !self.in_basis[j] && !(self.kind[j] == VarKind::Artificial && (!phase1 || cost[j] == 0.0))
+    fn eligible(&self, j: usize, phase1: bool) -> bool {
+        !self.in_basis[j] && !(self.kind[j] == VarKind::Artificial && (!phase1 || self.barred[j]))
     }
 
     /// Reduced cost `d_j = c_j - yᵀ A_j` against the current multipliers.
@@ -1185,7 +1177,7 @@ impl Tableau {
             // Least-index rule: the first improving column, scanned from 0.
             let mut scanned = 0u64;
             for j in 0..n {
-                if !self.eligible(j, cost, phase1) {
+                if !self.eligible(j, phase1) {
                     continue;
                 }
                 scanned += 1;
@@ -1204,7 +1196,7 @@ impl Tableau {
                 let mut best = -self.opts.opt_tol;
                 let mut scanned = 0u64;
                 for j in 0..n {
-                    if !self.eligible(j, cost, phase1) {
+                    if !self.eligible(j, phase1) {
                         continue;
                     }
                     scanned += 1;
@@ -1230,7 +1222,7 @@ impl Tableau {
                         j -= n;
                     }
                     last = j;
-                    if !self.eligible(j, cost, phase1) {
+                    if !self.eligible(j, phase1) {
                         continue;
                     }
                     examined += 1;
@@ -1337,6 +1329,15 @@ impl Tableau {
         }
 
         let old = self.basis[leaving_row];
+        // A negative pivot element only ever evicts an artificial at level
+        // zero (the zero-ratio rule, or driving artificials out after
+        // phase 1). Such a pivot lies outside Bland's termination argument:
+        // two zero-level artificials could trade a row forever. Barring the
+        // evicted one from re-entry bounds these pivots by the number of
+        // artificials, and phase 1 still reaches zero on a feasible program.
+        if piv < 0.0 {
+            self.barred[old] = true;
+        }
         self.in_basis[old] = false;
         self.in_basis[entering] = true;
         self.basis[leaving_row] = entering;
@@ -1359,13 +1360,8 @@ impl Tableau {
         let _span = ise_obs::Span::enter("simplex.refactor");
         let _lu_span =
             matches!(self.factor, Factor::Lu(_)).then(|| ise_obs::Span::enter("simplex.lu_factor"));
-        self.factor.refactor_with(
-            &self.cols,
-            &mut self.basis,
-            &self.b,
-            &mut self.xb,
-            &mut self.factor_scratch,
-        )?;
+        self.factor
+            .refactor(&self.cols, &mut self.basis, &self.b, &mut self.xb)?;
         self.pivots_since_refactor = 0;
         self.refactorizations += 1;
         self.degenerate_streak = 0;
@@ -1439,8 +1435,7 @@ mod tests {
         assert!((a - b).abs() <= tol, "expected {b}, got {a}");
     }
 
-    const ALL_KERNELS: [Factorization; 3] =
-        [Factorization::Lu, Factorization::Eta, Factorization::Dense];
+    const ALL_KERNELS: [Factorization; 2] = [Factorization::Lu, Factorization::Eta];
 
     /// Run a test body against every basis representation.
     fn both_paths(f: impl Fn(SolveOptions)) {
@@ -1651,6 +1646,40 @@ mod tests {
             let sol = solve(&lp, &opts).unwrap();
             assert_eq!(sol.status, SolveStatus::Optimal);
             assert_close(sol.x[x], 4.0, 1e-6);
+        });
+    }
+
+    #[test]
+    fn zero_level_artificials_cannot_trade_a_row_forever() {
+        // Rows 3 and 4 have rhs 0, so their artificials (standard-form
+        // columns 9 and 10) start basic at level zero. Unless an evicted
+        // artificial is barred from re-entry, phase 1 evicts one of them
+        // on a negative pivot, lets it re-enter, evicts the other, and so
+        // on up to the iteration limit, Bland's rule included. Row 0
+        // alone (2x₀ + 2x₂ = −3, x ≥ 0) is infeasible.
+        let mut lp = LinearProgram::new();
+        let x0 = lp.add_var(-4.0);
+        let x1 = lp.add_var(4.0);
+        let x2 = lp.add_var(-1.0);
+        lp.add_row([(x0, 2.0), (x2, 2.0)], Cmp::Eq, -3.0);
+        lp.add_row([(x0, -3.0), (x1, -2.0), (x2, 3.0)], Cmp::Eq, 2.0);
+        lp.add_row([(x0, -1.0), (x1, -3.0), (x2, 3.0)], Cmp::Le, -3.0);
+        lp.add_row([(x0, -3.0), (x1, -1.0), (x2, -1.0)], Cmp::Ge, 0.0);
+        lp.add_row([(x0, 2.0), (x1, -1.0), (x2, -3.0)], Cmp::Eq, 0.0);
+        lp.add_row([(x1, 2.0), (x2, 2.0)], Cmp::Eq, 6.0);
+        lp.add_row([(x0, 1.0), (x1, 2.0), (x2, 2.0)], Cmp::Le, 7.0);
+        all_modes(|opts| {
+            for ratio_test in [RatioTest::Harris, RatioTest::Baseline] {
+                let opts = SolveOptions {
+                    ratio_test,
+                    ..opts.clone()
+                };
+                let sol = solve(&lp, &opts);
+                assert!(
+                    matches!(&sol, Ok(s) if s.status == SolveStatus::Infeasible),
+                    "{opts:?}: {sol:?}"
+                );
+            }
         });
     }
 
@@ -1947,7 +1976,7 @@ mod tests {
     fn stability_rung_raises_the_pivot_tolerance() {
         let opts = SolveOptions::default();
         assert_eq!(rung_options(&opts, 0).pivot_tol, opts.pivot_tol);
-        for escalation in 1..=4 {
+        for escalation in 1..=ETA_RUNG {
             let rung = rung_options(&opts, escalation);
             assert!(
                 rung.pivot_tol > opts.pivot_tol,
@@ -1958,8 +1987,8 @@ mod tests {
         }
         assert_eq!(rung_options(&opts, 1).pricing, opts.pricing);
         assert_eq!(rung_options(&opts, 2).pricing, Pricing::Dantzig);
+        assert_eq!(rung_options(&opts, 2).factorization, opts.factorization);
         assert_eq!(rung_options(&opts, 3).factorization, Factorization::Eta);
-        assert_eq!(rung_options(&opts, 4).factorization, Factorization::Dense);
     }
 
     #[test]
@@ -1971,31 +2000,55 @@ mod tests {
     }
 
     #[cfg(feature = "fault-inject")]
+    fn rung_counts(n: &NumericsReport) -> (u64, u64, u64, u64) {
+        (
+            n.recoveries_refactor,
+            n.recoveries_tighten,
+            n.recoveries_dantzig,
+            n.recoveries_eta,
+        )
+    }
+
+    #[cfg(feature = "fault-inject")]
     #[test]
     fn recovery_ladder_climbs_every_rung_exactly_once() {
-        // Five armed failures walk the ladder end to end: attempt 0 fails
+        // Four armed failures walk the ladder end to end: attempt 0 fails
         // its first check, refactorizes (rung 1), fails the re-check and
-        // escalates; the tightened (rung 2), Dantzig (rung 3), and eta
-        // (rung 4) attempts each burn one more failure; the dense attempt
-        // (rung 5) runs with the hook exhausted and lands on the true
-        // optimum.
-        fault::force_residual_failures(5);
+        // escalates; the tightened (rung 2) and Dantzig (rung 3) attempts
+        // each burn one more failure; the eta attempt (rung 4) runs with
+        // the hook exhausted and lands on the true optimum.
+        fault::force_residual_failures(4);
         let sol = solve(&ring_lp(24), &SolveOptions::default()).unwrap();
         assert_eq!(sol.status, SolveStatus::Optimal);
         let n = sol.numerics;
         assert_eq!(
-            (
-                n.recoveries_refactor,
-                n.recoveries_tighten,
-                n.recoveries_dantzig,
-                n.recoveries_eta,
-                n.recoveries_dense,
-            ),
-            (1, 1, 1, 1, 1),
+            rung_counts(&n),
+            (1, 1, 1, 1),
             "each rung must fire exactly once: {n:?}"
         );
+        assert!(n.last_residual <= SolveOptions::default().residual_tol);
         let clean = solve(&ring_lp(24), &SolveOptions::default()).unwrap();
         assert_close(sol.objective, clean.objective, 1e-9);
+        assert_eq!(clean.numerics.recoveries_total(), 0);
+    }
+
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn eta_rung_records_a_failure_instead_of_escalating() {
+        // One more armed failure than the ladder has rungs: the eta
+        // attempt fails its exit check too. It is the last rung, so it
+        // records the reading and returns its own (true) optimum.
+        let opts = SolveOptions::default();
+        fault::force_residual_failures(5);
+        let sol = solve(&ring_lp(24), &opts).unwrap();
+        assert_eq!(sol.status, SolveStatus::Optimal);
+        let n = sol.numerics;
+        assert_eq!(rung_counts(&n), (1, 1, 1, 1), "{n:?}");
+        assert!(n.max_residual > opts.residual_tol, "{n:?}");
+        assert!(n.last_residual > opts.residual_tol, "{n:?}");
+        let clean = solve(&ring_lp(24), &opts).unwrap();
+        assert_close(sol.objective, clean.objective, 1e-9);
+        assert!(crate::verify::check_solution(&ring_lp(24), &sol.x, 1e-6).is_empty());
         assert_eq!(clean.numerics.recoveries_total(), 0);
     }
 
@@ -2005,10 +2058,6 @@ mod tests {
         fault::force_residual_failures(1);
         let sol = solve(&ring_lp(24), &SolveOptions::default()).unwrap();
         assert_eq!(sol.status, SolveStatus::Optimal);
-        assert_eq!(sol.numerics.recoveries_refactor, 1);
-        assert_eq!(sol.numerics.recoveries_tighten, 0);
-        assert_eq!(sol.numerics.recoveries_dantzig, 0);
-        assert_eq!(sol.numerics.recoveries_eta, 0);
-        assert_eq!(sol.numerics.recoveries_dense, 0);
+        assert_eq!(rung_counts(&sol.numerics), (1, 0, 0, 0));
     }
 }

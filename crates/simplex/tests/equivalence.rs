@@ -1,8 +1,8 @@
-//! Property tests: the LU, eta-file, and dense-inverse kernels are
-//! observationally equivalent.
+//! Property tests: the LU and eta-file kernels are observationally
+//! equivalent.
 //!
 //! Fully random programs — any status (optimal, infeasible, or
-//! unbounded) can come out. All three factorizations must agree on the
+//! unbounded) can come out. Both factorizations must agree on the
 //! status; on optimal programs every solution must verify against the
 //! original constraints ([`check_solution`]), every dual must certify the
 //! same objective ([`check_dual`]), and the objectives must match to
@@ -72,28 +72,26 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 300, .. ProptestConfig::default() })]
 
     #[test]
-    fn lu_eta_and_dense_agree_on_random_lps(lp in random_lp()) {
+    fn lu_and_eta_agree_on_random_lps(lp in random_lp()) {
         let lu = solve(&lp, &kernel_opts(Factorization::Lu)).expect("lu solve");
-        for oracle_kind in [Factorization::Eta, Factorization::Dense] {
-            let oracle = solve(&lp, &kernel_opts(oracle_kind)).expect("oracle solve");
-            prop_assert_eq!(lu.status, oracle.status, "{:?}", oracle_kind);
-            if lu.status != SolveStatus::Optimal {
-                continue;
-            }
-            let scale = 1.0 + lu.objective.abs();
-            prop_assert!(
-                (lu.objective - oracle.objective).abs() <= 1e-6 * scale,
-                "objectives diverge: lu {} {:?} {}", lu.objective, oracle_kind, oracle.objective
-            );
-            prop_assert!(check_solution(&lp, &lu.x, 1e-6).is_empty());
-            prop_assert!(check_solution(&lp, &oracle.x, 1e-6).is_empty());
-            let lu_dual = check_dual(&lp, &lu.duals, 1e-5)
-                .map_err(|v| TestCaseError::fail(format!("lu dual infeasible: {v:?}")))?;
-            let oracle_dual = check_dual(&lp, &oracle.duals, 1e-5)
-                .map_err(|v| TestCaseError::fail(format!("oracle dual infeasible: {v:?}")))?;
-            prop_assert!((lu_dual - lu.objective).abs() <= 1e-5 * scale);
-            prop_assert!((oracle_dual - oracle.objective).abs() <= 1e-5 * scale);
+        let eta = solve(&lp, &kernel_opts(Factorization::Eta)).expect("eta solve");
+        prop_assert_eq!(lu.status, eta.status);
+        if lu.status != SolveStatus::Optimal {
+            return Ok(());
         }
+        let scale = 1.0 + lu.objective.abs();
+        prop_assert!(
+            (lu.objective - eta.objective).abs() <= 1e-6 * scale,
+            "objectives diverge: lu {} eta {}", lu.objective, eta.objective
+        );
+        prop_assert!(check_solution(&lp, &lu.x, 1e-6).is_empty());
+        prop_assert!(check_solution(&lp, &eta.x, 1e-6).is_empty());
+        let lu_dual = check_dual(&lp, &lu.duals, 1e-5)
+            .map_err(|v| TestCaseError::fail(format!("lu dual infeasible: {v:?}")))?;
+        let eta_dual = check_dual(&lp, &eta.duals, 1e-5)
+            .map_err(|v| TestCaseError::fail(format!("eta dual infeasible: {v:?}")))?;
+        prop_assert!((lu_dual - lu.objective).abs() <= 1e-5 * scale);
+        prop_assert!((eta_dual - eta.objective).abs() <= 1e-5 * scale);
     }
 
     /// Forrest–Tomlin consistency: solving entirely on FT updates

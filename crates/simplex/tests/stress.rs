@@ -128,8 +128,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
 
     /// Forcing a refactorization after every pivot must not change any
-    /// outcome — the dense-inverse update and the from-scratch inverse are
-    /// interchangeable.
+    /// outcome — the Forrest–Tomlin update and the from-scratch
+    /// factorization are interchangeable.
     #[test]
     fn per_pivot_refactorization_is_equivalent(known in known_lp()) {
         let fast = solve(&known.lp, &SolveOptions::default()).expect("solve");

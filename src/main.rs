@@ -15,7 +15,7 @@
 //!              [--idle-timeout-ms MS] [--max-line-len BYTES]
 //! ise trace    <instance.json> [--trim] [--mm BACKEND] [--speed S]
 //! ise bench    [--quick] [--reps N] [--out FILE] [--check FILE] [--threshold X]
-//!              [--factorization lu|eta|dense]
+//!              [--factorization lu|eta]
 //! ise fuzz     [--seed S] [--cases N] [--max-jobs N] [--oracles LIST]
 //!              [--time-budget SECS] [--corpus DIR] [--no-shrink]
 //!              [--replay DIR]
@@ -88,7 +88,7 @@ const USAGE: &str = "usage:
   ise trace    <instance.json> [--trim]
                [--mm auto|exact|greedy|unit|lp-round|portfolio] [--speed S]
   ise bench    [--quick] [--reps N] [--out FILE] [--check FILE]
-               [--threshold X] [--factorization lu|eta|dense]
+               [--threshold X] [--factorization lu|eta]
                [--skip-session] [--out-session FILE]
                [--check-session FILE]
   ise session  <script.jsonl> [--trim]
@@ -533,7 +533,7 @@ fn serve_listen(
 /// Writes the report to `--out` (or stdout), and with `--check FILE`
 /// compares against that baseline, failing on any measurement worse than
 /// `--threshold` (default 2.0) times its recorded value.
-/// `--factorization lu|eta|dense` instead profiles the suite on a single
+/// `--factorization lu|eta` instead profiles the suite on a single
 /// basis kernel (no baseline, no JSON report).
 fn cmd_bench(args: &[&String]) -> Result<(), String> {
     const VALUE: &[&str] = &[
@@ -561,10 +561,9 @@ fn cmd_bench(args: &[&String]) -> Result<(), String> {
         let kind = match kind.as_str() {
             "lu" => ise::simplex::Factorization::Lu,
             "eta" => ise::simplex::Factorization::Eta,
-            "dense" => ise::simplex::Factorization::Dense,
             other => {
                 return Err(format!(
-                    "unknown factorization {other:?} (expected lu, eta, or dense)"
+                    "unknown factorization {other:?} (expected lu or eta)"
                 ))
             }
         };
@@ -594,14 +593,10 @@ fn cmd_bench(args: &[&String]) -> Result<(), String> {
 
     let report = ise_bench::perf::run_suite(quick, reps)?;
     for w in &report.workloads {
-        let dense = w.dense.as_ref().map_or("skipped".to_string(), |d| {
-            format!("{} ns ({} iters)", d.ns_per_solve, d.iterations)
-        });
         eprintln!(
             "{}: {} rows x {} cols ({} nnz); lu {} ns ({} iters, {} cols scanned, \
              fill {} nnz, {} FT updates, hyper-sparse {:.0}%), eta {} ns ({} iters), \
-             dantzig {} ns ({} iters, {} cols scanned), dense {dense}, \
-             warm {} ns ({} iters)",
+             dantzig {} ns ({} iters, {} cols scanned), warm {} ns ({} iters)",
             w.spec.name,
             w.lp_rows,
             w.lp_cols,
